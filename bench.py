@@ -3,7 +3,7 @@
 Headline: the CDC ingest pipeline (the engine's reason to exist) applying a
 deterministic synthetic change stream scaled to the sf of ``$GRAFT_SF_DIR``
 (default /root/testdata/sf0.1), through the full path: typed transforms →
-combiner → hash shuffle → actor-pool exactly-once merge → commit log.
+combiner → hash exchange → per-partition exactly-once merge → commit log.
 Also times every ``__ray_entry__.queries()`` entry at the same sf.
 
     python bench.py              # one JSON line with headline + per-query secs
@@ -174,16 +174,6 @@ def main() -> None:
         },
     )
     DataContext.get_current().enable_progress_bars = False
-    if os.environ.get("BENCH_SHUFFLE") == "hash":
-        from ray.data.context import ShuffleStrategy
-
-        ctx = DataContext.get_current()
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        # aggregator actors must fit the cluster alongside map tasks
-        ctx.max_hash_shuffle_aggregators = int(os.environ.get("BENCH_AGG", max(2, NUM_CPUS // 2)))
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = float(
-            os.environ.get("BENCH_AGG_CPU", "0.1")
-        )
 
     headline = _run_headline()
     queries = {} if os.environ.get("BENCH_SKIP_QUERIES") else _run_queries()

@@ -8,7 +8,7 @@ A from-scratch re-expression of the capabilities of blockchain-etl/sonic-etl
 - typed decode/transform stages as zero-copy Arrow ``map_batches``
   (the ``transformation/common.rs`` transform family);
 - key-partitioned, exactly-once upserts into a partitioned Parquet lake via
-  stateful actor-pool merge appliers (the inline version of the reference's
+  one merge task per hash partition (the inline version of the reference's
   daily MERGE dedupe, ``daily_qc_airflow/daily_dedupe_mainnet.py:65-81``);
 - per-partition LSN watermarks, an idempotent commit log and lineage records
   (the reference's ack boundary + resumption topic + ``indexed_blocks/``,

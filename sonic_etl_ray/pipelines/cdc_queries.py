@@ -4,8 +4,8 @@ The driver's `events` table is treated as a CDC change log — the exact shape
 of the reference's block stream (dense monotone ``event_id`` = LSN,
 ``sonic_config/mod.rs:264``). A deterministic, SQL-expressible projection
 turns each event into a repo-file change event (BASELINE.json input shape),
-and the FULL engine (typed transforms → hash-partitioned shuffle →
-actor-pool merge appliers → commit log) applies it into a scratch lake.
+and the FULL engine (typed transforms → hash-partitioned exchange →
+per-partition merge tasks → commit log) applies it into a scratch lake.
 The matching ``oracle_sql()`` entries replay the same projection in pure SQL
 (window functions), so the driver's side-by-side compare checks the engine's
 exactly-once upsert semantics end-to-end, including per-row sha256.

@@ -490,16 +490,10 @@ def reconcile_snapshot(
     )
     per_block = _exchange(keyed, nparts)
     diff = ray.remote(num_cpus=1)(_reconcile_diff)
-    ev_refs = []
-    for p in range(nparts):
-        refs = (
-            [r for lst in per_block for r in lst]
-            if nparts == 1
-            else [blk[p] for blk in per_block]
-        )
-        ev_refs.append(
-            diff.remote(lake_dir, p, delete_missing, at_lsn, *refs)
-        )
+    ev_refs = [
+        diff.remote(lake_dir, p, delete_missing, at_lsn, *[blk[p] for blk in per_block])
+        for p in range(nparts)
+    ]
     events = ray.data.from_arrow_refs(ev_refs)
     return _run_dml(
         lake_dir, events, "reconcile",

@@ -6,19 +6,19 @@ epochs of Parquet segments; the per-block transform chain
 (``transformation/common.rs``) becomes vectorized ``map_batches`` stages; the
 at-least-once publish + daily MERGE repair
 (``daily_qc_airflow/daily_dedupe_mainnet.py:65-81``) becomes an inline,
-idempotent, key-partitioned merge applied by a stateful actor pool.
+idempotent, key-partitioned merge applied by one Ray task per partition.
 
 Dataflow per epoch (one Dataset execution, streaming with backpressure)::
 
     read_parquet(segments)                 # S1/S7 analog, column-pruned
       → map_batches(validate_and_derive)   # typed decode/derive (M1..M12)
-      → map_batches(reduce_last_per_key)   # combiner: shrink the shuffle
+      → map_batches(reduce_last_per_key)   # combiner: shrink the exchange
       → map_batches(add_partition_column)  # stable hash(repo,path) % P
-      → groupby(__part)                    # THE one all-to-all shuffle
-      → map_groups(MergeApplier)           # merge appliers (tasks by default:
-      → commit records (lineage)           #  their state IS the durable commit
-                                           #  log; use_actor_pool=True for a
-                                           #  dedicated actor pool)
+      → _exchange                          # THE one all-to-all exchange:
+                                           #  per-block split tasks, refs only
+      → _merge_partition × P               # MergeApplier.apply_unit per
+      → commit records (lineage)           #  partition; the durable commit
+                                           #  log is the merge's only state
 
 Scale notes (100 TB / 256 nodes): the combiner bounds shuffle volume to at
 most one row per live key per epoch; partition count P is chosen so one
@@ -402,11 +402,11 @@ def _write_stats_sidecar(state: pa.Table, state_file: str) -> str:
 
 
 class MergeApplier:
-    """Stateful actor-pool merge applier for one hash partition at a time.
+    """Merge applier for one epoch's hash partitions.
 
-    One actor handles many partitions over its lifetime (Ray routes groups to
-    the pool); per-call it performs the exactly-once, last-writer-wins merge
-    for a single ``(epoch, partition)``:
+    :meth:`apply_unit` performs the exactly-once, last-writer-wins merge for
+    a single ``(epoch, partition)``; :func:`apply_epoch` runs it in one Ray
+    task per partition:
 
     1. idempotence gate: if the (epoch, part) commit exists, no-op (Ray task
        retries / resumed runs / duplicate segment delivery all hit this);
@@ -463,17 +463,6 @@ class MergeApplier:
         # the file is gated by the same (epoch, part) commit record, so
         # replay/resume never duplicates history rows.
         self.track_history = track_history
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return COMMIT_RECORD_SCHEMA.empty_table()
-        # groups arrive assembled from many shuffle blocks → thousands of
-        # tiny chunks; Arrow kernels (sort, is_in, join) crawl on chunked
-        # input, so defragment once up front
-        group = group.combine_chunks()
-        part = group.column(PART_COLUMN)[0].as_py()
-        rec, _, _ = self.apply_unit(part, self.epoch, group, mem=None)
-        return self._record_row(rec)
 
     def apply_unit(
         self,
@@ -736,29 +725,6 @@ class MergeApplier:
         )
 
 
-def _shuffle_partitions(num_partitions: int) -> int | None:
-    """Shuffle fan-out for the partition groupby. Under HASH_SHUFFLE the
-    exchange needs an explicit partition count (the context default of 200
-    would demand 200 aggregator slots); under the default sort strategy
-    Ray picks its own reduce fan-out, so return None and leave it alone."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    if DataContext.get_current().shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE:
-        return num_partitions
-    return None
-
-
-def _default_merge_concurrency(num_partitions: int) -> int:
-    """Fixed actor-pool size: enough to cover the partitions, but never the
-    whole cluster — actors that reserve every CPU starve the read/transform
-    stages and serialize the pipeline."""
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # pragma: no cover - no cluster yet
-        ncpu = 8
-    return max(1, min(num_partitions, max(2, ncpu // 2)))
-
-
 class FusedMergeApplier(MergeApplier):
     """Multi-epoch merge applier for the FUSED execution mode: one Dataset
     execution carries every epoch's events (tagged with ``__epoch``); the
@@ -831,24 +797,6 @@ def _iter_block_refs(ds: ray.data.Dataset):
         yield from bundle.block_refs
 
 
-def _exchange(
-    ds: ray.data.Dataset, num_partitions: int, block_refs: list | None = None
-) -> list[list]:
-    """Map side of the raw-task exchange: stream transformed blocks out of
-    the Dataset as they finish and fan each into per-partition slice refs
-    (object store only — the driver holds refs, never rows).
-    ``block_refs`` short-circuits the Dataset iteration when the caller
-    already streamed the refs out (the auto two-level decision does)."""
-    refs = block_refs if block_refs is not None else _iter_block_refs(ds)
-    if num_partitions == 1:
-        # the 1-way split is the identity: every transformed block IS
-        # partition 0's slice (with num_returns=1 Ray would hand the merge
-        # task the whole returned TUPLE as one object — wrong type)
-        return [[block_ref] for block_ref in refs]
-    split = ray.remote(num_returns=num_partitions, num_cpus=1)(_split_block_for_exchange)
-    return [split.remote(block_ref, num_partitions) for block_ref in refs]
-
-
 def _split_block_into_groups(
     block: pa.Table, num_groups: int, group_size: int, num_partitions: int
 ) -> tuple:
@@ -886,158 +834,103 @@ def _regroup_group(lo: int, n_parts: int, *slices: pa.Table):
     return out if n_parts > 1 else out[0]
 
 
-def _two_level_auto_limit() -> int:
-    """blocks × partitions above which the merge exchange auto-switches to
-    the two-level form. Default 250k refs ≈ tens of MB of driver-side ref
-    bookkeeping — far above any single-epoch shape this engine benches
-    (≤10k) and far below the 10^8 a 10^5-block × 10^3-partition cluster
-    epoch would hit. Env-tunable for tests and unusual topologies."""
-    return int(os.environ.get("SONIC_TWO_LEVEL_AUTO_REFS", 250_000))
+# exchange tasks, registered once; callers set num_returns per call
+_split_task = ray.remote(num_cpus=1)(_split_block_for_exchange)
+_split_groups_task = ray.remote(num_cpus=1)(_split_block_into_groups)
+_regroup_task = ray.remote(num_cpus=1)(_regroup_group)
+
+# blocks × partitions above which the exchange routes the remaining blocks
+# two-level. 250k refs ≈ tens of MB of driver-side ref bookkeeping — far
+# above any single-epoch shape this engine benches (≤10k) and far below the
+# 10^8 a 10^5-block × 10^3-partition cluster epoch would hit.
+TWO_LEVEL_AUTO_REFS = 250_000
 
 
-def _exchange_two_level(
-    ds: ray.data.Dataset,
-    num_partitions: int,
-    group_size: int | None = None,
-    block_refs: list | None = None,
-) -> list[list]:
-    """Two-hop exchange for large P (the SCALE.md '_exchange holds
-    O(blocks×P) refs' watch item): blocks split into G = ⌈P/group_size⌉
-    group slices, one regroup task per group gathers its column of refs
-    and re-slices per partition. Driver ref count drops from blocks×P to
-    blocks×G + P (group_size ≈ √P minimizes it at blocks ≈ √P·…), at the
-    cost of each event's bytes crossing the object store twice — the
-    classic two-level shuffle trade. Worth it only when blocks×P is large
-    (P ≳ 10³ on a real cluster); the one-level exchange stays the default.
-    Returns the same shape contract as ``_exchange``: one pseudo-block row
-    whose entry p is partition p's single pre-concatenated slice ref."""
+def _split_one_level(block_ref, num_partitions: int) -> list:
+    """One block's per-partition slice refs. The 1-way split is the
+    identity: the block IS partition 0's slice (with num_returns=1 Ray
+    would hand the consumer the whole returned TUPLE as one object)."""
+    if num_partitions == 1:
+        return [block_ref]
+    return _split_task.options(num_returns=num_partitions).remote(
+        block_ref, num_partitions
+    )
+
+
+def _exchange_two_level(block_refs: list, num_partitions: int) -> list[list]:
+    """Two-hop exchange for large blocks×P: blocks split into
+    G = ⌈P/group_size⌉ group slices (group_size ≈ √P), one regroup task per
+    group gathers its column of refs and re-slices per partition. Driver
+    ref count drops from blocks×P to blocks×G + P, at the cost of each
+    event's bytes crossing the object store twice — the classic two-level
+    shuffle trade. Returns one pseudo-block row whose entry p is partition
+    p's single pre-concatenated slice ref."""
     import math
 
-    if group_size is None:
-        group_size = max(int(math.ceil(math.sqrt(num_partitions))), 2)
+    group_size = max(int(math.ceil(math.sqrt(num_partitions))), 2)
     num_groups = -(-num_partitions // group_size)
     if num_groups <= 1:
-        # a single group is just the one-level exchange with an extra hop —
-        # and Ray's num_returns=1 would hand _regroup_group the whole split
-        # TUPLE as one object (the same trap _exchange guards for P == 1)
-        return _exchange(ds, num_partitions, block_refs=block_refs)
-    split = ray.remote(num_returns=num_groups, num_cpus=1)(_split_block_into_groups)
-    refs = block_refs if block_refs is not None else _iter_block_refs(ds)
-    rows: list[list] = []
-    for block_ref in refs:
-        rows.append(list(split.remote(block_ref, num_groups, group_size, num_partitions)))
-    if not rows:  # zero-block dataset: no slices, merge sees no input
-        return []
+        # a single group is the one-level exchange with an extra hop — and
+        # num_returns=1 would hand _regroup_group the whole split TUPLE
+        return [_split_one_level(r, num_partitions) for r in block_refs]
+    split = _split_groups_task.options(num_returns=num_groups)
+    rows = [
+        split.remote(r, num_groups, group_size, num_partitions) for r in block_refs
+    ]
     part_refs: list = [None] * num_partitions
     for g in range(num_groups):
         lo = g * group_size
         n = min(group_size, num_partitions - lo)
-        rg = ray.remote(num_returns=n, num_cpus=1)(_regroup_group)
-        refs = rg.remote(lo, n, *[row[g] for row in rows])
-        if n == 1:
-            refs = [refs]
-        for i, ref in enumerate(refs):
-            part_refs[lo + i] = ref
+        refs = _regroup_task.options(num_returns=n).remote(
+            lo, n, *[row[g] for row in rows]
+        )
+        part_refs[lo : lo + n] = [refs] if n == 1 else refs
     return [part_refs]
 
 
-def _exchange_and_merge(
-    ds: ray.data.Dataset,
-    lake_dir: str,
-    epoch: int,
-    num_partitions: int,
-    input_desc: dict[str, Any] | None,
-    suppress_unchanged: bool = False,
-    merge_mode: str = "cow",
-    track_history: bool = False,
-    two_level: bool | None = None,
-) -> list[dict[str, Any]]:
-    """Raw-task hash exchange + merge — the default merge transport.
+def _exchange(ds: ray.data.Dataset, num_partitions: int) -> list[list]:
+    """Hash exchange of a Dataset whose rows carry ``__part`` in
+    [0, num_partitions): returns rows of per-partition slice refs, where
+    ``[row[p] for row in result]`` is partition p's input in block order.
 
     Why not ``groupby(part).map_groups``: the exchange needed here is a
-    STATIC 32-way routing on a precomputed int column, but Ray Data can
+    STATIC P-way routing on a precomputed int column, but Ray Data can
     only express it as a sort-based (or hash-aggregator) shuffle whose
-    sample/two-phase/barrier machinery measures 0.47 scaling efficiency
-    from 2→8 CPUs on this engine's stream (vs 0.83 for the map stages and
-    0.98 for a zero-coordination control) and dominates epoch wall time.
-    So the one thing the Dataset API genuinely can't express — a plain
-    partition exchange — drops to raw Ray tasks, exactly the sanctioned
-    escape hatch: transformed blocks stream out of the Dataset as they
-    finish (``iter_internal_ref_bundles``), a split task fans each block
-    into per-partition slices (object-store refs, never the driver), and
-    one merge task per partition gathers its slice list and runs the
-    exactly-once applier. Partitioning assumption: rows carry ``__part``
-    in [0, num_partitions); commit-gate idempotence is unchanged, so task
-    retries and resumed runs stay exactly-once.
+    sample/two-phase/barrier machinery measured 0.47 scaling efficiency
+    from 2→8 CPUs on this engine's stream (vs 0.83 for the map stages).
+    So transformed blocks stream out of the Dataset as they finish
+    (``iter_internal_ref_bundles``) and a split task fans each block into
+    per-partition slices — object-store refs, never rows on the driver.
 
-    ``two_level=True`` routes through :func:`_exchange_two_level` (driver
-    refs O(blocks×√P + P) instead of O(blocks×P); bit-identical lake,
-    pytest-pinned). The default ``two_level=None`` is AUTOMATIC: blocks
-    stream out of the Dataset as refs (tiny — the driver never holds rows),
-    and if blocks×P would exceed :func:`_two_level_auto_limit` the
-    two-level path is taken, so the driver's ref count stays bounded at
-    the 10^10-event design point without the caller opting in. Small
-    epochs (the overwhelmingly common case — the flagship bench is ~60
-    blocks × 32 parts ≈ 2k refs) keep the one-level exchange and its
-    single object-store hop.
-    """
-    if two_level is None:
-        # STREAMING auto decision: one-level splits launch per block as it
-        # arrives (full overlap with the upstream map stages — no barrier
-        # on the common small-epoch path). If the running blocks×P ref
-        # count crosses the limit, the REMAINING blocks route through the
-        # two-level exchange instead (their refs are buffered — one ref
-        # per block, tiny — and regrouped; regroup needs all tail blocks
-        # anyway, so the tail barrier is inherent to the two-level form).
-        # Ordering stays bit-identical to pure one-level: the merge concats
-        # head block slices in block order, then the tail's pre-concatenated
-        # (block-ordered) slice.
-        limit = _two_level_auto_limit()
-        head_blocks = max(1, limit // max(num_partitions, 1))
-        head_rows: list = []
-        tail_refs: list = []
-        if num_partitions == 1:
-            head_rows = [[r] for r in _iter_block_refs(ds)]
+    The depth is chosen while streaming: splits launch per block as it
+    arrives (full overlap with the upstream map stages). Once blocks×P
+    would exceed :data:`TWO_LEVEL_AUTO_REFS`, the REMAINING blocks are
+    buffered (one ref each) and routed through :func:`_exchange_two_level`,
+    so the driver's ref count stays bounded at the 10^10-event design
+    point. Row order per partition is the same at either depth: head block
+    slices in block order, then the tail's block-ordered pre-concat."""
+    head_blocks = max(1, TWO_LEVEL_AUTO_REFS // num_partitions)
+    rows: list = []
+    tail: list = []
+    for block_ref in _iter_block_refs(ds):
+        if num_partitions > 1 and len(rows) >= head_blocks:
+            tail.append(block_ref)
         else:
-            split = ray.remote(num_returns=num_partitions, num_cpus=1)(
-                _split_block_for_exchange
-            )
-            for block_ref in _iter_block_refs(ds):
-                if len(head_rows) < head_blocks:
-                    head_rows.append(split.remote(block_ref, num_partitions))
-                else:
-                    tail_refs.append(block_ref)
-        per_block_refs = head_rows + (
-            _exchange_two_level(ds, num_partitions, block_refs=tail_refs)
-            if tail_refs
-            else []
-        )
-    else:
-        per_block_refs = (
-            _exchange_two_level(ds, num_partitions)
-            if two_level
-            else _exchange(ds, num_partitions)
-        )
-    applier = MergeApplier(
-        lake_dir, epoch, input_desc,
-        suppress_unchanged=suppress_unchanged, merge_mode=merge_mode,
-        track_history=track_history,
-    )
+            rows.append(_split_one_level(block_ref, num_partitions))
+    return rows + _exchange_two_level(tail, num_partitions) if tail else rows
 
-    @ray.remote(num_cpus=1)
-    def merge_partition_task(part: int, *slices: pa.Table) -> dict[str, Any]:
-        live = [s for s in slices if s.num_rows]
-        if not live:
-            return {}
-        group = pa.concat_tables(live, promote_options="default")
-        rec, _, _ = applier.apply_unit(part, epoch, group.combine_chunks(), mem=None)
-        return rec
 
-    out_refs = [
-        merge_partition_task.remote(p, *[refs[p] for refs in per_block_refs])
-        for p in range(num_partitions)
-    ]
-    return [r for r in ray.get(out_refs) if r]
+@ray.remote(num_cpus=1)
+def _merge_partition(
+    applier: MergeApplier, part: int, *slices: pa.Table
+) -> dict[str, Any]:
+    """One partition's merge task: gather its exchange slices, apply."""
+    live = [s for s in slices if s.num_rows]
+    if not live:
+        return {}
+    group = pa.concat_tables(live, promote_options="default")
+    rec, _, _ = applier.apply_unit(part, applier.epoch, group.combine_chunks(), mem=None)
+    return rec
 
 
 def apply_epoch(
@@ -1045,14 +938,11 @@ def apply_epoch(
     lake_dir: str,
     epoch: int,
     num_partitions: int = 32,
-    merge_concurrency: int | tuple[int, int] | None = None,
     input_desc: dict[str, Any] | None = None,
     batch_size: int | None = 32_768,
-    use_actor_pool: bool = False,
     on_error: str = "abort",
     decode_catalog: Any | None = None,
     on_undecodable: str = "abort",
-    exchange: str = "tasks",
     suppress_unchanged: bool = False,
     merge_mode: str = "cow",
     track_history: bool = False,
@@ -1069,6 +959,11 @@ def apply_epoch(
     typed outputs per (epoch, partition) unit, both gated by the unit's
     commit record.
     """
+    applier = MergeApplier(
+        lake_dir, epoch, input_desc,
+        suppress_unchanged=suppress_unchanged, merge_mode=merge_mode,
+        track_history=track_history,
+    )
     os.makedirs(lake_dir, exist_ok=True)
     _backfill_evolution_marker(lake_dir)  # no-op after the first manifest
     ds = ds.map_batches(
@@ -1101,48 +996,12 @@ def apply_epoch(
     import time
 
     t0 = time.perf_counter()
-    if exchange in ("tasks", "tasks1", "tasks2") and not use_actor_pool:
-        # "tasks" auto-selects the exchange depth from blocks×partitions;
-        # "tasks1"/"tasks2" force one-/two-level (tests pin bit-equality)
-        records = _exchange_and_merge(
-            ds, lake_dir, epoch, num_partitions, input_desc, suppress_unchanged,
-            merge_mode=merge_mode, track_history=track_history,
-            two_level={"tasks": None, "tasks1": False, "tasks2": True}[exchange],
-        )
-    else:
-        grouped = ds.groupby(PART_COLUMN, num_partitions=_shuffle_partitions(num_partitions))
-        if use_actor_pool:
-            # dedicated actor pool: amortizes nothing here (the applier's
-            # state is the durable commit log), but isolates merge resources
-            if merge_concurrency is None:
-                merge_concurrency = _default_merge_concurrency(num_partitions)
-            commits = grouped.map_groups(
-                MergeApplier,
-                fn_constructor_args=(
-                    lake_dir, epoch, input_desc, suppress_unchanged, merge_mode,
-                    track_history,
-                ),
-                batch_format="pyarrow",
-                concurrency=merge_concurrency,
-                num_cpus=1,
-            )
-        else:
-            # Dataset-native merge transport (parity/verification path; the
-            # task exchange above is the default — see _exchange_and_merge)
-            applier = MergeApplier(
-                lake_dir, epoch, input_desc, suppress_unchanged, merge_mode,
-                track_history,
-            )
-
-            def merge_partition(group: pa.Table) -> pa.Table:
-                return applier(group)
-
-            commits = grouped.map_groups(merge_partition, batch_format="pyarrow")
-        records = commits.take_all()  # one small row per touched partition
-        if os.environ.get("BENCH_STATS"):
-            import sys as _sys
-
-            print(commits.stats(), file=_sys.stderr)
+    per_block_refs = _exchange(ds, num_partitions)
+    out_refs = [
+        _merge_partition.remote(applier, p, *[refs[p] for refs in per_block_refs])
+        for p in range(num_partitions)
+    ]
+    records = [r for r in ray.get(out_refs) if r]
     summary = {
         "epoch": epoch,
         "parts": sorted(int(r["part"]) for r in records),
@@ -1195,9 +1054,7 @@ def _run_ingest_impl(
     lake_dir: str,
     num_partitions: int = 32,
     segments_per_epoch: int = 8,
-    merge_concurrency: int | tuple[int, int] | None = None,
     read_kwargs: dict[str, Any] | None = None,
-    use_actor_pool: bool = False,
     on_error: str = "abort",
     fused: bool = False,
     finalize: bool = True,
@@ -1208,7 +1065,6 @@ def _run_ingest_impl(
     on_epoch: Any | None = None,
     read_fallbacks: list[str] | None = None,
     track_history: bool = False,
-    exchange: str = "tasks",
 ) -> dict[str, Any]:
     """Ingest a segmented change stream epoch by epoch, resumably.
 
@@ -1296,8 +1152,6 @@ def _run_ingest_impl(
             lake_dir,
             epoch,
             num_partitions=num_partitions,
-            merge_concurrency=merge_concurrency,
-            use_actor_pool=use_actor_pool,
             on_error=on_error,
             input_desc=desc,
             decode_catalog=decode_catalog,
@@ -1305,7 +1159,6 @@ def _run_ingest_impl(
             suppress_unchanged=suppress_unchanged,
             merge_mode=merge_mode,
             track_history=track_history,
-            exchange=exchange,
         )
 
     def _apply(epoch: int, efiles: list[str], extra_desc: dict[str, Any] | None = None) -> None:

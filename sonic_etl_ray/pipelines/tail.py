@@ -42,7 +42,6 @@ class Tailer:
         lake_dir: str,
         num_partitions: int = 32,
         segments_per_epoch: int = 8,
-        merge_concurrency: int | tuple[int, int] | None = None,
         read_kwargs: dict[str, Any] | None = None,
         compact_every: int | None = None,
         merge_mode: str = "cow",
@@ -58,7 +57,6 @@ class Tailer:
         self.lake_dir = lake_dir
         self.num_partitions = num_partitions
         self.segments_per_epoch = segments_per_epoch
-        self.merge_concurrency = merge_concurrency
         self.read_kwargs = read_kwargs or {}
         # self-maintenance: roll the commit log into the checkpoint after
         # every N newly closed epochs (safe here: the tailer is the only
@@ -176,7 +174,6 @@ class Tailer:
                     self.lake_dir,
                     epoch,
                     num_partitions=self.num_partitions,
-                    merge_concurrency=self.merge_concurrency,
                     input_desc={"segments": [f.rsplit("/", 1)[-1] for f in efiles]},
                     merge_mode=self.merge_mode,
                     track_history=self.track_history,

@@ -74,8 +74,14 @@ def write_bucketed_parquet(
     import pyarrow.compute as pc
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.floor(pc.divide(pc.cast(t[bucket_column], pa.float64()), bucket_width))
-        return t.append_column("bucket", pc.cast(b, pa.int64()))
+        # exact int64 floor division (a float64 round trip misbuckets keys
+        # beyond 2^53): Arrow's integer divide truncates toward zero, so
+        # step down where the remainder's sign differs from the width's
+        key = pc.cast(t[bucket_column], pa.int64())
+        q = pc.divide(key, bucket_width)
+        r = pc.subtract(key, pc.multiply(q, bucket_width))
+        below = pc.less(r, 0) if bucket_width > 0 else pc.greater(r, 0)
+        return t.append_column("bucket", pc.if_else(below, pc.subtract(q, 1), q))
 
     os.makedirs(out_dir, exist_ok=True)
     ds.map_batches(add_bucket, batch_format="pyarrow").write_parquet(

@@ -171,10 +171,30 @@ def _payload(tbl: pa.Table) -> pa.Table:
     return tbl.select(["repo", "path", "commit", "lang", "content"])
 
 
-def test_reconcile_snapshot_full_merge_semantics():
+def test_reconcile_snapshot_full_merge_semantics(monkeypatch):
+    from sonic_etl_ray.pipelines import ingest as ing
     from sonic_etl_ray.pipelines.dml import reconcile_snapshot
 
-    lake = _base_lake("dmlrec")
+    _check_reconcile_full_merge("dmlrec", reconcile_snapshot)
+    # the same MERGE through the two-level exchange: limit 0, ≥3 blocks
+    tails = []
+    real_two = ing._exchange_two_level
+    monkeypatch.setattr(
+        ing, "_exchange_two_level", lambda refs, p: tails.append(len(refs)) or real_two(refs, p)
+    )
+    monkeypatch.setattr(ing, "TWO_LEVEL_AUTO_REFS", 0)
+
+    def three_blocks(lake, src, **kw):
+        blocks = [src.slice(0, 2), src.slice(2, 2), src.slice(4)]
+        return reconcile_snapshot(lake, ray.data.from_arrow(blocks), **kw)
+
+    _check_reconcile_full_merge("dmlrec_two_level", three_blocks)
+    # the reconcile exchange: head 1 block one-level, tail 2 blocks two-level
+    assert tails and tails[0] == 2
+
+
+def _check_reconcile_full_merge(tag, reconcile):
+    lake = _base_lake(tag)
     before = lake_final_table(lake)
     src = _payload(before)
     # drop rA/a.py (delete), touch rB/c.py (update), keep the rest, add new
@@ -192,7 +212,7 @@ def test_reconcile_snapshot_full_merge_semantics():
         }
     )
     src = pa.concat_tables([src, fresh])
-    res = reconcile_snapshot(lake, src, delete_missing=True, at_lsn=100)
+    res = reconcile(lake, src, delete_missing=True, at_lsn=100)
     assert res["n_rows_affected"] == 3  # 1 delete + 1 update + 1 insert
     after = lake_final_table(lake)
     got = _payload(after)

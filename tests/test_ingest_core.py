@@ -164,50 +164,6 @@ def test_finalize_false_defers_trailing_partial_epoch(tmp_path):
     assert_state_equal(lake_final_table(lake), oracle_final_state(files))
 
 
-def test_task_exchange_equals_groupby_exchange(tmp_path):
-    """The raw-task hash exchange (default merge transport) must produce a
-    bit-identical lake to the Dataset groupby transport."""
-    import ray.data
-
-    from sonic_etl_ray.pipelines.ingest import apply_epoch
-
-    spec = StreamSpec(n_events=4000, n_repos=6, seed=37, segment_size=1000)
-    files = generate_stream(str(tmp_path / "seg"), spec)
-    lakes = {}
-    for mode in ("tasks", "tasks2", "groupby"):
-        lake = scratch_lake_dir(f"ex_{mode}")
-        apply_epoch(
-            ray.data.read_parquet(files), lake, epoch=0,
-            num_partitions=4, exchange=mode,
-        )
-        lakes[mode] = lake
-    assert_state_equal(lake_final_table(lakes["tasks"]), lake_final_table(lakes["groupby"]))
-    assert_state_equal(lake_final_table(lakes["tasks"]), lake_final_table(lakes["tasks2"]))
-    assert_state_equal(lake_final_table(lakes["tasks"]), oracle_final_state(files))
-
-
-def test_two_level_exchange_ragged_groups(tmp_path):
-    """tasks2 with P=7 (group_size √7→3: groups of 3+3+1, exercising the
-    single-partition tail group and empty group slices) must be
-    bit-identical to the one-level exchange and the oracle."""
-    import ray.data
-
-    from sonic_etl_ray.pipelines.ingest import apply_epoch
-
-    spec = StreamSpec(n_events=3000, n_repos=5, seed=91, segment_size=1000)
-    files = generate_stream(str(tmp_path / "seg"), spec)
-    lakes = {}
-    for mode in ("tasks", "tasks2"):
-        lake = scratch_lake_dir(f"rg_{mode}")
-        apply_epoch(
-            ray.data.read_parquet(files), lake, epoch=0,
-            num_partitions=7, exchange=mode,
-        )
-        lakes[mode] = lake
-    assert_state_equal(lake_final_table(lakes["tasks"]), lake_final_table(lakes["tasks2"]))
-    assert_state_equal(lake_final_table(lakes["tasks2"]), oracle_final_state(files))
-
-
 def test_read_fallback_failover_on_poisoned_primary(tmp_path):
     """ST6 source failover: an epoch whose primary segment files are
     corrupt is retried from a fallback mirror root; the final lake is
@@ -253,67 +209,82 @@ def test_read_fallback_failover_on_poisoned_primary(tmp_path):
         )
 
 
-def test_two_level_exchange_single_group_and_tiny_p(tmp_path):
-    """tasks2 with P<=2 (num_groups==1) must fall back to the one-level
-    exchange instead of tripping Ray's num_returns=1 tuple-as-one-object
-    trap, and still match the oracle."""
-    import ray.data
-
-    from sonic_etl_ray.pipelines.ingest import apply_epoch
-
-    spec = StreamSpec(n_events=1500, n_repos=4, seed=17, segment_size=500)
-    files = generate_stream(str(tmp_path / "seg"), spec)
-    lake = scratch_lake_dir("tiny_p_tasks2")
-    apply_epoch(
-        ray.data.read_parquet(files), lake, epoch=0,
-        num_partitions=2, exchange="tasks2",
-    )
-    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
-
-def test_auto_two_level_exchange_decision_and_equality(tmp_path, monkeypatch):
-    """The default exchange='tasks' streams one-level splits until the ref
-    limit is crossed, then routes the REMAINING blocks two-level (hybrid).
-    Below the limit the two-level exchange is never invoked; with the limit
-    forced to 0 the same call goes hybrid — and every shape is bit-identical
-    to the forced one-level path and the oracle."""
+@pytest.mark.parametrize("limit", ["default", 0])
+@pytest.mark.parametrize("num_partitions", [1, 2, 4, 7])
+def test_exchange_depth_matches_oracle(tmp_path, monkeypatch, num_partitions, limit):
+    """The exchange streams one-level splits until blocks×P would cross
+    TWO_LEVEL_AUTO_REFS, then routes the REMAINING blocks two-level. With
+    the limit forced to 0 the first block goes one-level and the rest
+    two-level: P=7 gives ragged groups (√7→3: 3+3+1, a single-partition
+    tail group), P=2 a single group (the one-level fallback), and P=1 never
+    goes two-level. Every shape is bit-identical to the oracle."""
     import ray.data
 
     from sonic_etl_ray.pipelines import ingest as ing
 
     spec = StreamSpec(n_events=3000, n_repos=5, seed=23, segment_size=1000)
     files = generate_stream(str(tmp_path / "seg"), spec)
-
-    calls = {"two": 0}
+    tails = []
     real_two = ing._exchange_two_level
 
-    def spy_two(*a, **kw):
-        calls["two"] += 1
-        return real_two(*a, **kw)
+    def spy_two(block_refs, p):
+        tails.append(len(block_refs))
+        return real_two(block_refs, p)
 
     monkeypatch.setattr(ing, "_exchange_two_level", spy_two)
-
-    # default limit (250k): a few blocks x 4 parts -> pure one-level
-    lake_auto = scratch_lake_dir("auto_one")
-    ing.apply_epoch(ray.data.read_parquet(files), lake_auto, epoch=0, num_partitions=4)
-    assert calls["two"] == 0
-
-    # limit 0: head keeps one block (streaming overlap floor), the tail
-    # routes through the two-level exchange -> hybrid rows
-    monkeypatch.setenv("SONIC_TWO_LEVEL_AUTO_REFS", "0")
-    lake_auto2 = scratch_lake_dir("auto_two")
+    if limit == 0:
+        monkeypatch.setattr(ing, "TWO_LEVEL_AUTO_REFS", 0)
+    lake = scratch_lake_dir(f"exchange_p{num_partitions}_{limit}")
     ing.apply_epoch(
         ray.data.read_parquet(files, override_num_blocks=3),
-        lake_auto2, epoch=0, num_partitions=4, batch_size=500,
+        lake, epoch=0, num_partitions=num_partitions, batch_size=500,
     )
-    assert calls["two"] == 1
+    if limit == 0 and num_partitions > 1:
+        assert len(tails) == 1 and tails[0] >= 2  # ≥3 blocks: head 1, tail ≥2
+    else:
+        assert tails == []
+    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
 
-    # both auto decisions and the forced paths agree bit-for-bit
-    monkeypatch.delenv("SONIC_TWO_LEVEL_AUTO_REFS")
-    lake_forced = scratch_lake_dir("auto_forced1")
-    ing.apply_epoch(
-        ray.data.read_parquet(files), lake_forced, epoch=0,
-        num_partitions=4, exchange="tasks1",
-    )
-    assert_state_equal(lake_final_table(lake_auto), lake_final_table(lake_auto2))
-    assert_state_equal(lake_final_table(lake_auto), lake_final_table(lake_forced))
-    assert_state_equal(lake_final_table(lake_auto), oracle_final_state(files))
+
+def test_ingest_paths_materialize_nothing_on_the_driver(tmp_path, monkeypatch):
+    """Rows stay in the object store on every write path: with the driver's
+    Dataset materializers patched to raise, a 4-epoch run_ingest, a plain
+    Tailer.tick() and a reconcile_snapshot all still produce oracle-equal
+    lakes (the merge sees refs only; records come back as small dicts)."""
+    import os
+    import shutil
+
+    import ray.data
+
+    from sonic_etl_ray.pipelines.dml import reconcile_snapshot
+    from sonic_etl_ray.pipelines.tail import Tailer
+
+    spec = StreamSpec(n_events=4000, n_repos=6, seed=29, segment_size=500)
+    files = generate_stream(str(tmp_path / "seg"), spec)  # 8 segments
+
+    def forbidden(*a, **kw):
+        raise AssertionError("Dataset materialized on the driver")
+
+    for name in ("take_all", "take", "take_batch", "to_pandas", "iter_rows", "iter_batches"):
+        monkeypatch.setattr(ray.data.Dataset, name, forbidden)
+
+    lake = scratch_lake_dir("nodriver_ingest")
+    stats = run_ingest(files, lake, num_partitions=4, segments_per_epoch=2)
+    assert stats["epochs_applied"] == 4
+    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
+
+    tail_dir = str(tmp_path / "tail")
+    os.makedirs(tail_dir)
+    for f in files[:4]:
+        shutil.copy(f, tail_dir)
+    tail_lake = scratch_lake_dir("nodriver_tail")
+    tick = Tailer(tail_dir, tail_lake, num_partitions=4, segments_per_epoch=2).tick()
+    assert tick["epochs_applied"] == 2
+    assert_state_equal(lake_final_table(tail_lake), oracle_final_state(files[:4]))
+
+    # reconcile the half-tailed lake against the full stream's final state
+    payload = ["repo", "path", "commit", "lang", "content"]
+    golden = oracle_final_state(files).select(payload)
+    res = reconcile_snapshot(tail_lake, golden, delete_missing=True)
+    assert res["n_rows_affected"] > 0
+    assert lake_final_table(tail_lake, columns=payload).equals(golden)

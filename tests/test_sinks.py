@@ -35,13 +35,28 @@ def test_write_json_fixture(tmp_path):
     assert json.load(open(p)) == {"k": [3]}
 
 
+def _bucket_members(out: str) -> dict[str, list[int]]:
+    return {
+        os.path.basename(d): sorted(pq.read_table(d).column("lsn").to_pylist())
+        for d in glob.glob(os.path.join(out, "bucket=*"))
+    }
+
+
 def test_write_bucketed_parquet(tmp_path):
-    t = pa.table({"lsn": list(range(100)), "v": [str(i) for i in range(100)]})
+    keys = [-1] + list(range(100))
+    t = pa.table({"lsn": keys, "v": [str(i) for i in keys]})
     out = write_bucketed_parquet(ray.data.from_arrow(t), str(tmp_path / "bp"), "lsn", 25)
-    dirs = sorted(os.path.basename(d) for d in glob.glob(os.path.join(out, "bucket=*")))
-    assert dirs == ["bucket=0", "bucket=1", "bucket=2", "bucket=3"]
+    members = _bucket_members(out)
+    assert sorted(members) == ["bucket=-1", "bucket=0", "bucket=1", "bucket=2", "bucket=3"]
+    assert members["bucket=-1"] == [-1]  # floor, not truncation toward 0
     got = pq.read_table(out)
-    assert got.num_rows == 100
+    assert got.num_rows == 101
+    # keys beyond 2^53 are not exactly representable in float64: the bucket
+    # must come from int64 floor division, not a float round trip
+    big = 2**53 + 1
+    t = pa.table({"lsn": pa.array([big, -big], pa.int64()), "v": ["p", "n"]})
+    out = write_bucketed_parquet(ray.data.from_arrow(t), str(tmp_path / "big"), "lsn", 1)
+    assert _bucket_members(out) == {f"bucket={big}": [big], f"bucket={-big}": [-big]}
 
 
 def test_parquet_compression_knob(monkeypatch):
