@@ -95,14 +95,14 @@ def _run_headline() -> dict:
     for _ in range(max(reps, 1)):
         shutil.rmtree(lake, ignore_errors=True)
         t0 = time.perf_counter()
-        # job shape is FIXED (P=32, 128 read blocks) so runs at different
-        # num_cpus execute the identical job — required for scaling comparisons
+        # job shape is FIXED (P=32, one map task per segment) so runs at
+        # different num_cpus execute the identical job — required for
+        # scaling comparisons
         run_ingest(
             files,
             lake,
             num_partitions=32,
             segments_per_epoch=int(os.environ.get("BENCH_SPE", "32")),
-            read_kwargs={"override_num_blocks": 128},
             fused=bool(os.environ.get("BENCH_FUSED")),
             # BENCH_TRACK_HISTORY=1: measure the SCD2 sidecar's overhead
             # (version-preserving combiner + per-unit archive write)

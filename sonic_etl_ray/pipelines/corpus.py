@@ -73,6 +73,49 @@ def prep_corpus(
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
+@ray.remote(num_cpus=1)
+def _block_lang_sums(t: "pa.Table") -> dict[str, int]:
+    """One sorted block's (lang → token sum) summary."""
+    if "lang" not in t.column_names:  # schema-less empty sort block
+        return {}
+    df = t.to_pandas()
+    return df.groupby("lang", sort=False)["n_tokens"].sum().to_dict()
+
+
+@ray.remote(num_cpus=1)
+def _assign_shards(
+    t: "pa.Table", offsets: dict[str, int], capacity: int, num_buckets: int | None
+) -> "pa.Table":
+    """``shard_id = tokens-before // capacity`` for one sorted block, from
+    its per-lang token offsets."""
+    import numpy as np
+    import pyarrow as pa
+
+    if "lang" not in t.column_names:  # schema-less empty sort block
+        cols = {
+            "doc_id": pa.array([], pa.int64()),
+            "lang": pa.array([], pa.string()),
+            "n_tokens": pa.array([], pa.int64()),
+            "shard_id": pa.array([], pa.int64()),
+        }
+        if num_buckets is not None:
+            cols["__bucket"] = pa.array([], pa.int64())
+        return pa.table(cols)
+    df = t.to_pandas()  # already (lang, doc_id)-sorted within the block
+    before = df.groupby("lang", sort=False)["n_tokens"].cumsum() - df["n_tokens"]
+    before = before + df["lang"].map(offsets).fillna(0).astype("int64")
+    shard = (before // capacity).to_numpy(np.int64)
+    cols = {
+        "doc_id": pa.array(df["doc_id"], pa.int64()),
+        "lang": pa.array(df["lang"], pa.string()),
+        "n_tokens": pa.array(df["n_tokens"], pa.int64()),
+        "shard_id": pa.array(shard, pa.int64()),
+    }
+    if num_buckets is not None:
+        cols["__bucket"] = pa.array(shard % num_buckets, pa.int64())
+    return pa.table(cols)
+
+
 def _sharded_token_blocks(
     sf_dir: str, capacity: int, num_buckets: int | None = None
 ) -> list:
@@ -115,47 +158,17 @@ def _sharded_token_blocks(
     )
     refs = counts.to_arrow_refs()  # ordered blocks of 3-int rows
 
-    def block_sums(t: pa.Table) -> dict[str, int]:
-        if "lang" not in t.column_names:  # schema-less empty sort block
-            return {}
-        df = t.to_pandas()
-        return df.groupby("lang", sort=False)["n_tokens"].sum().to_dict()
-
-    def assign(t: pa.Table, offsets: dict[str, int]) -> pa.Table:
-        if "lang" not in t.column_names:  # schema-less empty sort block
-            cols = {
-                "doc_id": pa.array([], pa.int64()),
-                "lang": pa.array([], pa.string()),
-                "n_tokens": pa.array([], pa.int64()),
-                "shard_id": pa.array([], pa.int64()),
-            }
-            if num_buckets is not None:
-                cols["__bucket"] = pa.array([], pa.int64())
-            return pa.table(cols)
-        df = t.to_pandas()  # already (lang, doc_id)-sorted within the block
-        before = df.groupby("lang", sort=False)["n_tokens"].cumsum() - df["n_tokens"]
-        before = before + df["lang"].map(offsets).fillna(0).astype("int64")
-        shard = (before // capacity).to_numpy(np.int64)
-        cols = {
-            "doc_id": pa.array(df["doc_id"], pa.int64()),
-            "lang": pa.array(df["lang"], pa.string()),
-            "n_tokens": pa.array(df["n_tokens"], pa.int64()),
-            "shard_id": pa.array(shard, pa.int64()),
-        }
-        if num_buckets is not None:
-            cols["__bucket"] = pa.array(shard % num_buckets, pa.int64())
-        return pa.table(cols)
-
-    sums_task = ray.remote(num_cpus=1)(block_sums)
-    per_block = ray.get([sums_task.remote(r) for r in refs])
+    per_block = ray.get([_block_lang_sums.remote(r) for r in refs])
     running: dict[str, int] = {}
     offsets_per_block: list[dict[str, int]] = []
     for sm in per_block:  # driver work = blocks x langs tiny dicts
         offsets_per_block.append(dict(running))
         for lang, n in sm.items():
             running[lang] = running.get(lang, 0) + int(n)
-    assign_task = ray.remote(num_cpus=1)(assign)
-    return [assign_task.remote(r, off) for r, off in zip(refs, offsets_per_block)]
+    return [
+        _assign_shards.remote(r, off, capacity, num_buckets)
+        for r, off in zip(refs, offsets_per_block)
+    ]
 
 
 def token_shards(sf_dir: str, capacity: int = 2_000) -> pd.DataFrame:

@@ -438,6 +438,9 @@ def _reconcile_diff(
     return pa.concat_tables(events, promote_options="default")
 
 
+_reconcile_diff_task = ray.remote(num_cpus=1)(_reconcile_diff)
+
+
 def reconcile_snapshot(
     lake_dir: str,
     source: "ray.data.Dataset | pa.Table",
@@ -467,7 +470,7 @@ def reconcile_snapshot(
       ``applied_lsn + 1`` iff ``delete_missing=True``
 
     Scale shape: the source streams through the same hash exchange as the
-    ingest path (one map-side split per block, refs only on the driver);
+    ingest path (one map-and-split task per block, refs only on the driver);
     ONE Ray task per partition diffs its source slice against its live
     state (vectorized key joins + column compares); only the CHANGES
     become events and replay through :func:`apply_epoch` under a
@@ -476,22 +479,18 @@ def reconcile_snapshot(
     epoch, committed partitions diff to empty, uncommitted partitions
     re-emit identical events.
     """
-    from ..stages.keys import add_partition_column
-    from .ingest import _exchange
+    from .ingest import _exchange, _iter_block_refs
 
     nparts = num_partitions or max(lake_num_partitions(lake_dir), 1)
     epoch = dml_epoch(lake_dir) if epoch is None else epoch
     if isinstance(source, pa.Table):
         source = ray.data.from_arrow(source)
-    keyed = source.map_batches(
-        add_partition_column,
-        batch_format="pyarrow",
-        fn_kwargs={"num_partitions": nparts},
-    )
-    per_block = _exchange(keyed, nparts)
-    diff = ray.remote(num_cpus=1)(_reconcile_diff)
+    # snapshot rows, not events: the map tasks only key and split them
+    per_block = _exchange(_iter_block_refs(source), nparts, (None, None, None))
     ev_refs = [
-        diff.remote(lake_dir, p, delete_missing, at_lsn, *[blk[p] for blk in per_block])
+        _reconcile_diff_task.remote(
+            lake_dir, p, delete_missing, at_lsn, *[blk[p] for blk in per_block]
+        )
         for p in range(nparts)
     ]
     events = ray.data.from_arrow_refs(ev_refs)

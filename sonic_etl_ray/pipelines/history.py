@@ -34,11 +34,12 @@ import os
 import re
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from ..state import commitlog as cl
-from ..state.runfold import EpochCover
+from ..state.runfold import EpochCover, fold_partition_runs
 
 HISTORY_DIR = "_history"
 COMPACT_DIR = "compacted"
@@ -151,6 +152,30 @@ def _part_history_files(
     return out
 
 
+@ray.remote(num_cpus=1)
+def _read_history_part(
+    lake_dir: str, part: int, repos: list[str], keyset: list[str]
+) -> pa.Table:
+    """One partition's archived versions of the looked-up keys."""
+    import pyarrow.dataset as pads
+
+    from ..stages.keys import key_strings
+
+    files = _part_history_files(lake_dir, part)
+    if not files:
+        return pa.table({})
+    repo_filter = pc.field("repo").isin(repos)
+    tabs = [
+        pads.dataset(f, format="parquet").to_table(filter=repo_filter)
+        for f in files
+    ]
+    tbl = _concat_evolved([t for t in tabs if t.num_rows] or tabs[:1])
+    if not tbl.num_rows:
+        return tbl
+    exact = pc.is_in(key_strings(tbl), value_set=pa.array(keyset, pa.string()))
+    return tbl.filter(exact)
+
+
 def lookup_key_history(
     lake_dir: str,
     keys: list[tuple[str, str]],
@@ -164,9 +189,6 @@ def lookup_key_history(
     (repo, path, lsn)-sorted). One Ray task per touched partition.
     Returns all archived versions, (repo, path, lsn)-ascending."""
     import numpy as np
-    import pyarrow.compute as pc
-
-    import ray
 
     from ..pipelines.ingest import lake_num_partitions
     from ..stages.keys import KEY_SEP, key_strings, stable_hash64
@@ -182,29 +204,11 @@ def lookup_key_history(
     for i, p in enumerate(parts):
         by_part.setdefault(int(p), []).append(i)
 
-    @ray.remote(num_cpus=1)
-    def read_part(part: int, repos: list[str], keyset: list[str]) -> pa.Table:
-        import pyarrow.dataset as pads
-
-        files = _part_history_files(lake_dir, part)
-        if not files:
-            return pa.table({})
-        repo_filter = pc.field("repo").isin(repos)
-        tabs = [
-            pads.dataset(f, format="parquet").to_table(filter=repo_filter)
-            for f in files
-        ]
-        tbl = _concat_evolved([t for t in tabs if t.num_rows] or tabs[:1])
-        if not tbl.num_rows:
-            return tbl
-        exact = pc.is_in(key_strings(tbl), value_set=pa.array(keyset, pa.string()))
-        return tbl.filter(exact)
-
     refs = []
     for part, idxs in sorted(by_part.items()):
         repos = sorted({keys[i][0] for i in idxs})
         keyset = sorted({keys[i][0] + KEY_SEP + keys[i][1] for i in idxs})
-        refs.append(read_part.remote(part, repos, keyset))
+        refs.append(_read_history_part.remote(lake_dir, part, repos, keyset))
     tabs = [t for t in ray.get(refs) if t.num_rows]
     if not tabs:
         return pa.table({})
@@ -339,6 +343,27 @@ def expire_history(lake_dir: str, before_epoch: int) -> dict[str, int]:
     return {"files_removed": removed_files, "runs_removed": removed_runs}
 
 
+def _merge_history(tables: list[pa.Table]) -> pa.Table:
+    """Archive run merge semantics: evolved-schema concat, (repo, path, lsn) sort."""
+    merged = _concat_evolved(tables)
+    return merged.take(
+        pc.sort_indices(
+            merged,
+            sort_keys=[("repo", "ascending"), ("path", "ascending"), ("lsn", "ascending")],
+        )
+    )
+
+
+@ray.remote(num_cpus=1)
+def _compact_history_part(
+    lake_dir: str, part: int, epoch_files: list[tuple[int, str]], min_files: int
+) -> int:
+    return fold_partition_runs(
+        _history_run_dir(lake_dir, part), epoch_files, epoch_files, _merge_history,
+        min_files=min_files,
+    )
+
+
 def compact_history(lake_dir: str, min_files: int = 8) -> dict[str, int]:
     """Fold a partition's per-epoch history files (plus any previous
     compacted run) into ONE sorted run — the archive's file-count bound at
@@ -353,12 +378,6 @@ def compact_history(lake_dir: str, min_files: int = 8) -> dict[str, int]:
     ``min_files`` new epochs per fold (else a tailer folding every tick
     goes quadratic in run size over time). `expire_history` also
     cleans."""
-    import pyarrow.compute as pc
-
-    import ray
-
-    from ..state.runfold import fold_partition_runs
-
     by_part: dict[int, list[tuple[int, str]]] = {}
     for f in glob.glob(
         os.path.join(lake_dir, HISTORY_DIR, "epoch=*", "part=*.parquet")
@@ -370,28 +389,7 @@ def compact_history(lake_dir: str, min_files: int = 8) -> dict[str, int]:
         if cl.commit_exists(lake_dir, epoch, part):
             by_part.setdefault(part, []).append((epoch, f))
 
-    def _merge(tables: list["pa.Table"]) -> "pa.Table":
-        merged = _concat_evolved(tables)
-        return merged.take(
-            pc.sort_indices(
-                merged,
-                sort_keys=[
-                    ("repo", "ascending"), ("path", "ascending"), ("lsn", "ascending"),
-                ],
-            )
-        )
-
-    @ray.remote(num_cpus=1)
-    def compact_part(part: int, epoch_files: list[tuple[int, str]]) -> int:
-        return fold_partition_runs(
-            _history_run_dir(lake_dir, part),
-            epoch_files,
-            epoch_files,
-            _merge,
-            min_files=min_files,
-        )
-
-    # driver-side precheck mirrors compact_part's amortization rule so a
+    # driver-side precheck mirrors _compact_history_part's amortization rule so a
     # tailer folding every tick doesn't dispatch P no-op tasks per tick
     todo: dict[int, list[tuple[int, str]]] = {}
     for p, ef in by_part.items():
@@ -400,7 +398,9 @@ def compact_history(lake_dir: str, min_files: int = 8) -> dict[str, int]:
         fresh_n = sum(1 for e, _ in ef if e not in covered)
         if fresh_n >= (min_files if runs else max(min_files, 2)):
             todo[p] = ef
-    folded = sum(ray.get([compact_part.remote(p, ef) for p, ef in todo.items()]))
+    folded = sum(ray.get([
+        _compact_history_part.remote(lake_dir, p, ef, min_files) for p, ef in todo.items()
+    ]))
     return {"parts": len(todo), "files_folded": folded}
 
 

@@ -1,21 +1,23 @@
 """The CDC upsert pipeline: change events → exactly-once partitioned lake.
 
-Ray-Data-first re-expression of the reference's end-to-end path (§3.1 of
-SURVEY.md): coordinator range chunks (``publish_ranges.py:122-146``) become
-epochs of Parquet segments; the per-block transform chain
-(``transformation/common.rs``) becomes vectorized ``map_batches`` stages; the
-at-least-once publish + daily MERGE repair
-(``daily_qc_airflow/daily_dedupe_mainnet.py:65-81``) becomes an inline,
-idempotent, key-partitioned merge applied by one Ray task per partition.
+Re-expression of the reference's end-to-end path (§3.1 of SURVEY.md):
+coordinator range chunks (``publish_ranges.py:122-146``) become epochs of
+Parquet segments; the extractor's single-threaded transform-and-publish
+pass over one range (``extractor_transformer/README.md:10-13``) becomes one
+Ray task per segment running the vectorized per-block transform chain
+(``transformation/common.rs``); the at-least-once publish + daily MERGE
+repair (``daily_qc_airflow/daily_dedupe_mainnet.py:65-81``) becomes an
+inline, idempotent, key-partitioned merge applied by one Ray task per
+partition.
 
-Dataflow per epoch (one Dataset execution, streaming with backpressure)::
+Dataflow per epoch (plain tasks, refs only on the driver; Ray Data is the
+read and query surface, not the write path)::
 
-    read_parquet(segments)                 # S1/S7 analog, column-pruned
-      → map_batches(validate_and_derive)   # typed decode/derive (M1..M12)
-      → map_batches(reduce_last_per_key)   # combiner: shrink the exchange
-      → map_batches(add_partition_column)  # stable hash(repo,path) % P
-      → _exchange                          # THE one all-to-all exchange:
-                                           #  per-block split tasks, refs only
+    _map_and_split × segment file          # ONE task per input (or per block
+      = read → validate_and_derive         #  of an input Dataset): typed
+        → (decode) → reduce_last_per_key   #  derive (M1..M12), catalog fan-
+        → add_partition_column → split     #  out, combiner, hash % P, then
+                                           #  P (or G group) slices
       → _merge_partition × P               # MergeApplier.apply_unit per
       → commit records (lineage)           #  partition; the durable commit
                                            #  log is the merge's only state
@@ -41,6 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockAccessor
 
 from ..schemas import (
     ENVELOPE_COLUMNS,
@@ -49,6 +52,7 @@ from ..schemas import (
     conform_table,
     unify_schemas,
 )
+from ..stages.decode import ContentDecoder
 from ..stages.keys import PART_COLUMN, add_partition_column, key_strings
 from ..stages.transform import (
     ERROR_COLUMN,
@@ -317,6 +321,9 @@ def resolve_partition_state(
     )
 
 
+_resolve_partition_task = ray.remote(num_cpus=1)(resolve_partition_state)
+
+
 def compact_partition(lake_dir: str, part: int) -> dict[str, Any]:
     """Fold a partition's trailing merge-on-read deltas into a new base
     STATE file (the Hudi compaction analog). The new base takes the next
@@ -351,6 +358,9 @@ def compact_partition(lake_dir: str, part: int) -> dict[str, Any]:
     return {"part": part, "compacted": n_deltas, "n_rows": state.num_rows}
 
 
+_compact_partition_task = ray.remote(num_cpus=1)(compact_partition)
+
+
 def compact_lake_states(
     lake_dir: str, min_deltas: int = 1, parallel: bool = True
 ) -> dict[str, int]:
@@ -374,8 +384,7 @@ def compact_lake_states(
     if not todo:
         return {"partitions": 0, "deltas_folded": 0}
     if parallel and ray.is_initialized():
-        task = ray.remote(num_cpus=1)(compact_partition)
-        results = ray.get([task.remote(lake_dir, p) for p in todo])
+        results = ray.get([_compact_partition_task.remote(lake_dir, p) for p in todo])
     else:
         results = [compact_partition(lake_dir, p) for p in todo]
     return {
@@ -797,23 +806,47 @@ def _iter_block_refs(ds: ray.data.Dataset):
         yield from bundle.block_refs
 
 
-def _split_block_into_groups(
-    block: pa.Table, num_groups: int, group_size: int, num_partitions: int
-) -> tuple:
-    """First hop of the two-level exchange: slices at GROUP boundaries
-    (a group = ``group_size`` consecutive partitions)."""
-    import numpy as np
+# one ContentDecoder per worker process and catalog (keyed by its specs):
+# the decode stage's state lives in the map task's worker, not an actor pool
+_DECODERS: dict = {}
 
-    edges = np.minimum(
-        np.arange(num_groups + 1, dtype=np.int64) * group_size, num_partitions
-    )
-    return _split_block_at_edges(block, edges)
+
+@ray.remote(num_cpus=1)
+def _map_and_split(src: Any, edges: list[int], on_error: str | None, combiner: Any, decode: Any):
+    """The write path's map task, one per input: a segment path is read
+    here, a Dataset block arrives as its table. Then ``validate_and_derive``
+    → (decode) → combiner → ``add_partition_column`` (P = ``edges[-1]``),
+    and the block is split at ``edges``: P partition slices, or G group
+    slices for :func:`_regroup_group`. ``on_error=None`` / ``combiner=None``
+    skip those stages (reconcile routes snapshot rows, not events);
+    ``decode`` is ``(catalog, on_undecodable)`` or None."""
+    tbl = pq.read_table(src) if isinstance(src, str) else BlockAccessor.for_block(src).to_arrow()
+    if tbl.num_rows:
+        if on_error is not None:
+            tbl = validate_and_derive(tbl, on_error=on_error)
+        if decode is not None:
+            key = (tuple(sorted(decode[0].specs.items())), decode[1])
+            if key not in _DECODERS:
+                _DECODERS[key] = ContentDecoder(*decode)
+            tbl = _DECODERS[key](tbl)
+        if combiner is not None:
+            tbl = combiner(tbl)
+        tbl = add_partition_column(tbl, num_partitions=int(edges[-1]))
+    out = _split_block_at_edges(tbl, edges)
+    return out if len(out) > 1 else out[0]
+
+
+def _map_split(src: Any, edges: list[int], map_args: tuple) -> list:
+    """Submit one map task; its slice refs as a list (with num_returns=1 Ray
+    returns the bare ref)."""
+    refs = _map_and_split.options(num_returns=len(edges) - 1).remote(src, edges, *map_args)
+    return refs if len(edges) > 2 else [refs]
 
 
 def _regroup_group(lo: int, n_parts: int, *slices: pa.Table):
-    """Second hop: gather one group's slices from every block (in block
+    """Second hop: gather one group's slices from every input (in input
     order), concat once, stable-argsort on the partition column — stable
-    keeps block order within each partition, so the per-partition row
+    keeps input order within each partition, so the per-partition row
     order is bit-identical to the one-level exchange's concat — and emit
     one pre-concatenated slice per partition."""
     import numpy as np
@@ -822,7 +855,7 @@ def _regroup_group(lo: int, n_parts: int, *slices: pa.Table):
     if not live:
         empty = slices[0].slice(0, 0)
         return tuple(empty for _ in range(n_parts)) if n_parts > 1 else empty
-    tbl = pa.concat_tables(live, promote_options="default")
+    tbl = pa.concat_tables(live, promote_options="permissive")  # see _merge_partition
     pcol = np.asarray(tbl.column(PART_COLUMN))
     order = np.argsort(pcol, kind="stable")
     sorted_tbl = tbl.take(pa.array(order))
@@ -834,37 +867,23 @@ def _regroup_group(lo: int, n_parts: int, *slices: pa.Table):
     return out if n_parts > 1 else out[0]
 
 
-# exchange tasks, registered once; callers set num_returns per call
-_split_task = ray.remote(num_cpus=1)(_split_block_for_exchange)
-_split_groups_task = ray.remote(num_cpus=1)(_split_block_into_groups)
 _regroup_task = ray.remote(num_cpus=1)(_regroup_group)
 
-# blocks × partitions above which the exchange routes the remaining blocks
+# inputs × partitions above which the exchange routes the remaining inputs
 # two-level. 250k refs ≈ tens of MB of driver-side ref bookkeeping — far
 # above any single-epoch shape this engine benches (≤10k) and far below the
-# 10^8 a 10^5-block × 10^3-partition cluster epoch would hit.
+# 10^8 a 10^5-segment × 10^3-partition cluster epoch would hit.
 TWO_LEVEL_AUTO_REFS = 250_000
 
 
-def _split_one_level(block_ref, num_partitions: int) -> list:
-    """One block's per-partition slice refs. The 1-way split is the
-    identity: the block IS partition 0's slice (with num_returns=1 Ray
-    would hand the consumer the whole returned TUPLE as one object)."""
-    if num_partitions == 1:
-        return [block_ref]
-    return _split_task.options(num_returns=num_partitions).remote(
-        block_ref, num_partitions
-    )
-
-
-def _exchange_two_level(block_refs: list, num_partitions: int) -> list[list]:
-    """Two-hop exchange for large blocks×P: blocks split into
-    G = ⌈P/group_size⌉ group slices (group_size ≈ √P), one regroup task per
-    group gathers its column of refs and re-slices per partition. Driver
-    ref count drops from blocks×P to blocks×G + P, at the cost of each
-    event's bytes crossing the object store twice — the classic two-level
-    shuffle trade. Returns one pseudo-block row whose entry p is partition
-    p's single pre-concatenated slice ref."""
+def _exchange_two_level(srcs: list, num_partitions: int, map_args: tuple) -> list[list]:
+    """Two-hop exchange for large inputs×P: each map task splits its input
+    into G = ⌈P/group_size⌉ group slices (group_size ≈ √P), one regroup task
+    per group gathers its column of refs and re-slices per partition.
+    Driver ref count drops from inputs×P to inputs×G + P, at the cost of
+    each event's bytes crossing the object store twice — the classic
+    two-level shuffle trade. Returns one pseudo-block row whose entry p is
+    partition p's single pre-concatenated slice ref."""
     import math
 
     group_size = max(int(math.ceil(math.sqrt(num_partitions))), 2)
@@ -872,11 +891,9 @@ def _exchange_two_level(block_refs: list, num_partitions: int) -> list[list]:
     if num_groups <= 1:
         # a single group is the one-level exchange with an extra hop — and
         # num_returns=1 would hand _regroup_group the whole split TUPLE
-        return [_split_one_level(r, num_partitions) for r in block_refs]
-    split = _split_groups_task.options(num_returns=num_groups)
-    rows = [
-        split.remote(r, num_groups, group_size, num_partitions) for r in block_refs
-    ]
+        return [_map_split(s, list(range(num_partitions + 1)), map_args) for s in srcs]
+    edges = [min(g * group_size, num_partitions) for g in range(num_groups + 1)]
+    rows = [_map_split(s, edges, map_args) for s in srcs]
     part_refs: list = [None] * num_partitions
     for g in range(num_groups):
         lo = g * group_size
@@ -888,36 +905,33 @@ def _exchange_two_level(block_refs: list, num_partitions: int) -> list[list]:
     return [part_refs]
 
 
-def _exchange(ds: ray.data.Dataset, num_partitions: int) -> list[list]:
-    """Hash exchange of a Dataset whose rows carry ``__part`` in
-    [0, num_partitions): returns rows of per-partition slice refs, where
-    ``[row[p] for row in result]`` is partition p's input in block order.
+def _exchange(inputs: Iterable[Any], num_partitions: int, map_args: tuple) -> list[list]:
+    """Map and hash-exchange ``inputs`` (segment paths or block refs): one
+    :func:`_map_and_split` task per input, with ``map_args`` = (on_error,
+    combiner, decode). Returns rows of per-partition slice refs, where
+    ``[row[p] for row in result]`` is partition p's input in input order.
 
-    Why not ``groupby(part).map_groups``: the exchange needed here is a
-    STATIC P-way routing on a precomputed int column, but Ray Data can
-    only express it as a sort-based (or hash-aggregator) shuffle whose
-    sample/two-phase/barrier machinery measured 0.47 scaling efficiency
-    from 2→8 CPUs on this engine's stream (vs 0.83 for the map stages).
-    So transformed blocks stream out of the Dataset as they finish
-    (``iter_internal_ref_bundles``) and a split task fans each block into
-    per-partition slices — object-store refs, never rows on the driver.
+    Plain tasks, not Ray Data: Ray Data expresses this static P-way routing
+    only as a sort-based shuffle (0.47 scaling efficiency 2→8 CPUs here),
+    and a per-epoch ``map_batches`` plan costs ~160 ms before the first row
+    moves. Ray runs at most one ``num_cpus=1`` task per CPU and the merge
+    barrier keeps every slice resident anyway, so no in-flight window.
 
-    The depth is chosen while streaming: splits launch per block as it
-    arrives (full overlap with the upstream map stages). Once blocks×P
-    would exceed :data:`TWO_LEVEL_AUTO_REFS`, the REMAINING blocks are
-    buffered (one ref each) and routed through :func:`_exchange_two_level`,
-    so the driver's ref count stays bounded at the 10^10-event design
-    point. Row order per partition is the same at either depth: head block
-    slices in block order, then the tail's block-ordered pre-concat."""
+    Inputs split one-level until inputs×P would exceed
+    :data:`TWO_LEVEL_AUTO_REFS`; the REMAINING inputs go through
+    :func:`_exchange_two_level`, so the driver's ref count stays bounded at
+    the 10^10-event design point. Per-partition row order is input order
+    at either depth."""
     head_blocks = max(1, TWO_LEVEL_AUTO_REFS // num_partitions)
+    edges = list(range(num_partitions + 1))
     rows: list = []
     tail: list = []
-    for block_ref in _iter_block_refs(ds):
+    for src in inputs:
         if num_partitions > 1 and len(rows) >= head_blocks:
-            tail.append(block_ref)
+            tail.append(src)
         else:
-            rows.append(_split_one_level(block_ref, num_partitions))
-    return rows + _exchange_two_level(tail, num_partitions) if tail else rows
+            rows.append(_map_split(src, edges, map_args))
+    return rows + _exchange_two_level(tail, num_partitions, map_args) if tail else rows
 
 
 @ray.remote(num_cpus=1)
@@ -928,18 +942,19 @@ def _merge_partition(
     live = [s for s in slices if s.num_rows]
     if not live:
         return {}
-    group = pa.concat_tables(live, promote_options="default")
+    # permissive: slices of different segments may differ by a column add
+    # or an integer widening (schema evolution inside one epoch)
+    group = pa.concat_tables(live, promote_options="permissive")
     rec, _, _ = applier.apply_unit(part, applier.epoch, group.combine_chunks(), mem=None)
     return rec
 
 
 def apply_epoch(
-    ds: ray.data.Dataset,
+    src: list[str] | ray.data.Dataset,
     lake_dir: str,
     epoch: int,
     num_partitions: int = 32,
     input_desc: dict[str, Any] | None = None,
-    batch_size: int | None = 32_768,
     on_error: str = "abort",
     decode_catalog: Any | None = None,
     on_undecodable: str = "abort",
@@ -948,6 +963,10 @@ def apply_epoch(
     track_history: bool = False,
 ) -> list[dict[str, Any]]:
     """Apply one epoch of change events; returns per-partition commit records.
+
+    ``src`` is a list of segment paths, each read inside its own map task
+    (:func:`_map_and_split`), or a ``ray.data.Dataset``, whose blocks stream
+    out unmapped and get one map task each; one merge task per partition.
 
     Idempotent: committed (epoch, partition) units are skipped inside the
     appliers, so re-running after a crash resumes without duplicate or lost
@@ -959,6 +978,8 @@ def apply_epoch(
     typed outputs per (epoch, partition) unit, both gated by the unit's
     commit record.
     """
+    import time
+
     applier = MergeApplier(
         lake_dir, epoch, input_desc,
         suppress_unchanged=suppress_unchanged, merge_mode=merge_mode,
@@ -966,37 +987,15 @@ def apply_epoch(
     )
     os.makedirs(lake_dir, exist_ok=True)
     _backfill_evolution_marker(lake_dir)  # no-op after the first manifest
-    ds = ds.map_batches(
-        validate_and_derive,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        fn_kwargs={"on_error": on_error},
-    )
-    if decode_catalog is not None:
-        from ..stages.decode import ContentDecoder
-
-        ds = ds.map_batches(
-            ContentDecoder,
-            fn_constructor_args=(decode_catalog, on_undecodable),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=(1, 4),
-        )
     # track_history swaps the last-writer-wins combiner for the version-
     # preserving one: distinct versions (not just per-key winners) must reach
     # the merge so the `_history/` sidecar archives the full change log
     combiner = reduce_distinct_versions if track_history else reduce_last_per_key
-    ds = ds.map_batches(combiner, batch_format="pyarrow", batch_size=batch_size)
-    ds = ds.map_batches(
-        add_partition_column,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        fn_kwargs={"num_partitions": num_partitions},
-    )
-    import time
+    decode = (decode_catalog, on_undecodable) if decode_catalog is not None else None
+    inputs = _iter_block_refs(src) if isinstance(src, ray.data.Dataset) else src
 
     t0 = time.perf_counter()
-    per_block_refs = _exchange(ds, num_partitions)
+    per_block_refs = _exchange(inputs, num_partitions, (on_error, combiner, decode))
     out_refs = [
         _merge_partition.remote(applier, p, *[refs[p] for refs in per_block_refs])
         for p in range(num_partitions)
@@ -1054,7 +1053,6 @@ def _run_ingest_impl(
     lake_dir: str,
     num_partitions: int = 32,
     segments_per_epoch: int = 8,
-    read_kwargs: dict[str, Any] | None = None,
     on_error: str = "abort",
     fused: bool = False,
     finalize: bool = True,
@@ -1146,9 +1144,8 @@ def _run_ingest_impl(
     failovers = 0
 
     def _apply_from(epoch: int, efiles: list[str], desc: dict[str, Any]) -> None:
-        ds = ray.data.read_parquet(efiles, **(read_kwargs or {}))
         apply_epoch(
-            ds,
+            efiles,
             lake_dir,
             epoch,
             num_partitions=num_partitions,
@@ -1232,7 +1229,6 @@ def _run_ingest_impl(
                 normal,
                 lake_dir,
                 num_partitions=num_partitions,
-                read_kwargs=read_kwargs,
                 on_error=on_error,
                 epochs_total=len(epochs),
                 decode_catalog=decode_catalog,
@@ -1379,20 +1375,30 @@ def _tag_epoch(t: pa.Table, epoch_id: int) -> pa.Table:
     )
 
 
+@ray.remote(num_cpus=1)
+def _fused_merge_partition(
+    applier: FusedMergeApplier, *slices: pa.Table
+) -> list[dict[str, Any]]:
+    """Fused mode's merge task: one partition's rows for every epoch."""
+    live = [s for s in slices if s.num_rows]
+    if not live:
+        return []
+    return applier(pa.concat_tables(live, promote_options="permissive")).to_pylist()
+
+
 def _run_ingest_fused(
     pending: list[tuple[int, list[str]]],
     lake_dir: str,
     num_partitions: int,
-    read_kwargs: dict[str, Any] | None,
     on_error: str,
     epochs_total: int,
     decode_catalog: Any | None = None,
     on_undecodable: str = "abort",
 ) -> dict[str, Any]:
-    """All pending epochs in ONE Dataset execution (see FusedMergeApplier)."""
+    """All pending epochs in ONE exchange (see FusedMergeApplier): the
+    epoch-tagged read blocks go through the same map tasks as
+    :func:`apply_epoch`, whose combiner keeps epochs apart."""
     import time
-
-    from ..stages.transform import EPOCH_COLUMN  # noqa: F401 (doc reference)
 
     os.makedirs(lake_dir, exist_ok=True)
     _backfill_evolution_marker(lake_dir)
@@ -1407,45 +1413,20 @@ def _run_ingest_fused(
     parts_ds = []
     epoch_inputs: dict[int, dict[str, Any]] = {}
     for e, efiles in pending:
-        ds_e = ray.data.read_parquet(efiles, **(read_kwargs or {}))
         parts_ds.append(
-            ds_e.map_batches(_tag_epoch, fn_kwargs={"epoch_id": e}, batch_format="pyarrow")
+            ray.data.read_parquet(efiles).map_batches(
+                _tag_epoch, fn_kwargs={"epoch_id": e}, batch_format="pyarrow"
+            )
         )
         epoch_inputs[e] = {"segments": [os.path.basename(f) for f in efiles]}
     ds = parts_ds[0].union(*parts_ds[1:]) if len(parts_ds) > 1 else parts_ds[0]
-
-    ds = ds.map_batches(
-        validate_and_derive, batch_format="pyarrow", batch_size=32_768,
-        fn_kwargs={"on_error": on_error},
-    )
-    if decode_catalog is not None:
-        from ..stages.decode import ContentDecoder
-
-        ds = ds.map_batches(
-            ContentDecoder,
-            fn_constructor_args=(decode_catalog, on_undecodable),
-            batch_format="pyarrow",
-            batch_size=32_768,
-            concurrency=(1, 4),
-        )
-    ds = ds.map_batches(reduce_last_per_key, batch_format="pyarrow", batch_size=32_768)
-    ds = ds.map_batches(
-        add_partition_column, batch_format="pyarrow", batch_size=32_768,
-        fn_kwargs={"num_partitions": num_partitions},
-    )
+    decode = (decode_catalog, on_undecodable) if decode_catalog is not None else None
     applier = FusedMergeApplier(lake_dir, epoch_inputs)
-    per_block_refs = _exchange(ds, num_partitions)
-
-    @ray.remote(num_cpus=1)
-    def fused_merge_task(*slices: pa.Table) -> list[dict[str, Any]]:
-        live = [s for s in slices if s.num_rows]
-        if not live:
-            return []
-        out = applier(pa.concat_tables(live, promote_options="default"))
-        return out.to_pylist()
-
+    per_block_refs = _exchange(
+        _iter_block_refs(ds), num_partitions, (on_error, reduce_last_per_key, decode)
+    )
     out_refs = [
-        fused_merge_task.remote(*[refs[p] for refs in per_block_refs])
+        _fused_merge_partition.remote(applier, *[refs[p] for refs in per_block_refs])
         for p in range(num_partitions)
     ]
     records = [r for part_records in ray.get(out_refs) for r in part_records]
@@ -1703,9 +1684,8 @@ def read_lake(
 
     parts_ds = None
     if dirty_parts:
-        resolve = ray.remote(num_cpus=1)(_resolved_live_block)
         refs = [
-            resolve.remote(lake_dir, p, columns, filter, as_of_epoch, unified)
+            _resolved_live_block_task.remote(lake_dir, p, columns, filter, as_of_epoch, unified)
             for p in dirty_parts
         ]
         parts_ds = ray.data.from_arrow_refs(refs)
@@ -1776,6 +1756,9 @@ def _resolved_live_block(
     return tbl
 
 
+_resolved_live_block_task = ray.remote(num_cpus=1)(_resolved_live_block)
+
+
 def lake_num_partitions(lake_dir: str) -> int:
     """The lake's hash-partition count, from the newest epoch manifest
     (recorded at apply time); falls back to counting part dirs."""
@@ -1818,6 +1801,9 @@ def _lookup_partition(
     return _drop_tombstones(tbl.filter(exact))
 
 
+_lookup_partition_task = ray.remote(num_cpus=1)(_lookup_partition)
+
+
 def lookup_keys(
     lake_dir: str,
     keys: list[tuple[str, str]],
@@ -1847,13 +1833,14 @@ def lookup_keys(
     by_part: dict[int, list[int]] = {}
     for i, p in enumerate(parts):
         by_part.setdefault(int(p), []).append(i)
-    task = ray.remote(num_cpus=1)(_lookup_partition)
     seqs = _as_of_seqs(lake_dir, as_of_epoch)  # one manifest parse, shared
     refs = []
     for part, idxs in sorted(by_part.items()):
         repos = sorted({keys[i][0] for i in idxs})
         keyset = sorted({keys[i][0] + KEY_SEP + keys[i][1] for i in idxs})
-        refs.append(task.remote(lake_dir, part, repos, keyset, as_of_epoch, seqs))
+        refs.append(
+            _lookup_partition_task.remote(lake_dir, part, repos, keyset, as_of_epoch, seqs)
+        )
     tabs = [t for t in ray.get(refs) if t.num_rows]
     if not tabs:
         return _drop_tombstones(STATE_SCHEMA.empty_table())
@@ -2232,9 +2219,8 @@ def rebucket_lake(
     if dirty_parts:
         # merge-on-read frontiers: resolve to FULL state rows (tombstones
         # included — they must migrate) in one task per partition
-        resolve = ray.remote(num_cpus=1)(resolve_partition_state)
         dirty_ds = ray.data.from_arrow_refs(
-            [resolve.remote(src_lake, p) for p in dirty_parts]
+            [_resolve_partition_task.remote(src_lake, p) for p in dirty_parts]
         )
         ds = ds.union(dirty_ds) if ds is not None else dirty_ds
 
@@ -2311,6 +2297,7 @@ def replicate_lake(
     return {"epochs_applied": applied, "epochs_skipped": skipped}
 
 
+@ray.remote(num_cpus=1)
 def _export_partition(
     lake_dir: str, part: int, out_dir: str, as_of_epoch: int | None
 ) -> dict[str, Any]:
@@ -2378,9 +2365,8 @@ def export_snapshot(
         and os.path.exists(p.get("file", ""))
     }
     todo = [p for p in parts if p not in prior_parts]
-    task = ray.remote(num_cpus=1)(_export_partition)
     entries = list(prior_parts.values()) + ray.get(
-        [task.remote(lake_dir, p, out_dir, pinned) for p in todo]
+        [_export_partition.remote(lake_dir, p, out_dir, pinned) for p in todo]
     )
     entries.sort(key=lambda e: e["part"])
     manifest = {
@@ -2763,6 +2749,39 @@ def read_decoded_ds(lake_dir: str, table: str | None = None) -> ray.data.Dataset
     return ds.select_columns(names)
 
 
+def _merge_decoded(tables: list[pa.Table]) -> pa.Table:
+    """Decoded run merge semantics: full-row dedup + LSN sort."""
+    merged = pa.concat_tables(tables, promote_options="default")
+    merged = merged.group_by(merged.column_names).aggregate([])
+    return merged.take(pc.sort_indices(merged, sort_keys=_DECODED_SORT))
+
+
+@ray.remote(num_cpus=1)
+def _compact_decoded_part(
+    lake_dir: str, table: str | None, part: int,
+    epoch_files: list[tuple[int, str]], min_files: int,
+) -> int:
+    import glob as _glob
+
+    from ..state.runfold import fold_partition_runs
+
+    originals = [
+        (int(os.path.basename(os.path.dirname(f)).split("=")[1]), f)
+        for f in _glob.glob(
+            os.path.join(
+                _decoded_root(lake_dir, table), "epoch=*", cl.PART_FMT.format(part) + ".parquet"
+            )
+        )
+    ]
+    return fold_partition_runs(
+        _decoded_run_dir(lake_dir, table, part),
+        epoch_files,
+        originals,
+        _merge_decoded,
+        min_files=min_files,
+    )
+
+
 def compact_decoded(
     lake_dir: str, table: str | None = None, min_files: int = 8
 ) -> dict[str, int]:
@@ -2777,43 +2796,16 @@ def compact_decoded(
     supplies the decoded merge semantics (full-row dedup + LSN sort).
     Out-of-order epochs committed after a fold stay readable — coverage is
     an explicit epoch list, never a threshold."""
-    import glob as _glob
-
-    import ray
-
-    from ..state.runfold import fold_partition_runs
-
-    _, fresh = _decoded_file_plan(lake_dir, table)
-
-    def _merge(tables: list[pa.Table]) -> pa.Table:
-        merged = pa.concat_tables(tables, promote_options="default")
-        merged = merged.group_by(merged.column_names).aggregate([])
-        return merged.take(pc.sort_indices(merged, sort_keys=_DECODED_SORT))
-
-    @ray.remote(num_cpus=1)
-    def compact_part(part: int, epoch_files: list[tuple[int, str]]) -> int:
-        originals = [
-            (int(os.path.basename(os.path.dirname(f)).split("=")[1]), f)
-            for f in _glob.glob(
-                os.path.join(
-                    _decoded_root(lake_dir, table), "epoch=*", cl.PART_FMT.format(part) + ".parquet"
-                )
-            )
-        ]
-        return fold_partition_runs(
-            _decoded_run_dir(lake_dir, table, part),
-            epoch_files,
-            originals,
-            _merge,
-            min_files=min_files,
-        )
-
     from ..state.runfold import parts_to_fold
 
+    _, fresh = _decoded_file_plan(lake_dir, table)
     todo = parts_to_fold(
         os.path.join(_decoded_root(lake_dir, table), "runs"), fresh, min_files
     )
-    folded = sum(ray.get([compact_part.remote(p, ef) for p, ef in todo.items()]))
+    folded = sum(ray.get([
+        _compact_decoded_part.remote(lake_dir, table, p, ef, min_files)
+        for p, ef in todo.items()
+    ]))
     return {"parts": len(todo), "files_folded": folded}
 
 
@@ -2927,6 +2919,43 @@ def read_errors(lake_dir: str, pending_only: bool = False) -> pa.Table:
     return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
 
 
+def _merge_errors(tables: list[pa.Table]) -> pa.Table:
+    """Error audit run merge semantics: concat, LSN sort."""
+    merged = pa.concat_tables(tables, promote_options="default")
+    if "lsn" in merged.column_names:
+        merged = merged.take(pc.sort_indices(merged, sort_keys=[("lsn", "ascending")]))
+    return merged
+
+
+@ray.remote(num_cpus=1)
+def _compact_errors_part(
+    lake_dir: str, part: int, epoch_files: list[tuple[int, str]], min_files: int
+) -> int:
+    import glob as _glob
+
+    from ..state.runfold import fold_partition_runs
+
+    # originals = ALL of this partition's epoch files (covered ones
+    # included — the one-generation GC sweeps exactly those), each with
+    # its .REPLAYED marker so markers die with their files
+    all_files = _glob.glob(
+        os.path.join(lake_dir, "_errors", "epoch=*", cl.PART_FMT.format(part) + ".parquet")
+    )
+    originals = [
+        pair
+        for f in all_files
+        for e in (int(os.path.basename(os.path.dirname(f)).split("=")[1]),)
+        for pair in ((e, f), (e, f + ".REPLAYED"))
+    ]
+    return fold_partition_runs(
+        os.path.join(lake_dir, "_errors", "runs", cl.PART_FMT.format(part)),
+        epoch_files,
+        originals,
+        _merge_errors,
+        min_files=min_files,
+    )
+
+
 def compact_errors(lake_dir: str, min_files: int = 8) -> dict[str, int]:
     """Fold RETIRED error files (those :func:`replay_errors` marked
     ``.REPLAYED``) into one audit run per partition via the shared
@@ -2935,50 +2964,17 @@ def compact_errors(lake_dir: str, min_files: int = 8) -> dict[str, int]:
     stays file-grained, so :func:`replay_errors` and the pending view are
     untouched. The fold sweeps each covered file's ``.REPLAYED`` marker
     alongside it (one-generation grace, like every other run family)."""
-    import ray
-
-    from ..state.runfold import fold_partition_runs
+    from ..state.runfold import parts_to_fold
 
     _, fresh = _error_file_plan(lake_dir)
     retired = {
         p: [(e, f) for e, f in per if os.path.exists(f + ".REPLAYED")]
         for p, per in fresh.items()
     }
-
-    def _merge(tables: list[pa.Table]) -> pa.Table:
-        merged = pa.concat_tables(tables, promote_options="default")
-        if "lsn" in merged.column_names:
-            merged = merged.take(pc.sort_indices(merged, sort_keys=[("lsn", "ascending")]))
-        return merged
-
-    @ray.remote(num_cpus=1)
-    def compact_part(part: int, epoch_files: list[tuple[int, str]]) -> int:
-        import glob as _glob
-
-        # originals = ALL of this partition's epoch files (covered ones
-        # included — the one-generation GC sweeps exactly those), each with
-        # its .REPLAYED marker so markers die with their files
-        all_files = _glob.glob(
-            os.path.join(lake_dir, "_errors", "epoch=*", cl.PART_FMT.format(part) + ".parquet")
-        )
-        originals = [
-            pair
-            for f in all_files
-            for e in (int(os.path.basename(os.path.dirname(f)).split("=")[1]),)
-            for pair in ((e, f), (e, f + ".REPLAYED"))
-        ]
-        return fold_partition_runs(
-            os.path.join(lake_dir, "_errors", "runs", cl.PART_FMT.format(part)),
-            epoch_files,
-            originals,
-            _merge,
-            min_files=min_files,
-        )
-
-    from ..state.runfold import parts_to_fold
-
     todo = parts_to_fold(os.path.join(lake_dir, "_errors", "runs"), retired, min_files)
-    folded = sum(ray.get([compact_part.remote(p, ef) for p, ef in todo.items()]))
+    folded = sum(ray.get([
+        _compact_errors_part.remote(lake_dir, p, ef, min_files) for p, ef in todo.items()
+    ]))
     return {"parts": len(todo), "files_folded": folded}
 
 

@@ -4,11 +4,13 @@ The coordinator+consumer loop of the reference
 (``indexing_coordinator/publish_ranges.py:214-248``: poll head every 5 s,
 publish [last+1, head] chunks; consumers pull/ack) becomes a driver-side
 micro-batch loop: each tick discovers segments beyond the committed
-watermark, groups them into epochs, and applies them through the exactly-
-once ingest pipeline. Graceful shutdown (SIGTERM flag checked between
-epochs, ``sonic_config/mod.rs:70-98``) and head-regression warnings
-(``publish_ranges.py:222-223``) carry over; the resumption state IS the
-commit log, so a killed tailer resumes exactly (W4/O4).
+watermark, groups them into epochs, and hands each epoch's segment paths
+to the exactly-once ingest pipeline (one map task per segment, one merge
+task per partition; no Dataset is built on this path). Graceful shutdown
+(SIGTERM flag checked between epochs, ``sonic_config/mod.rs:70-98``) and
+head-regression warnings (``publish_ranges.py:222-223``) carry over; the
+resumption state IS the commit log, so a killed tailer resumes exactly
+(W4/O4).
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import logging
 import time
 from typing import Any, Callable
-
-import ray.data
 
 from ..sources.planner import discover_segments
 from ..state import commitlog as cl
@@ -29,7 +29,8 @@ log = logging.getLogger(__name__)
 class Tailer:
     """Micro-batch change-stream tailer with watermark resume.
 
-    ``tick()`` is one poll: discover → plan → apply new epochs. ``run()``
+    ``tick()`` is one poll: discover → plan → apply new epochs, each as
+    its segment paths through :func:`~.ingest.apply_epoch`. ``run()``
     loops with a poll interval until ``stop()`` (the SIGTERM-flag analog)
     or ``max_ticks``. Epoch numbering is derived from segment position so
     a restarted tailer maps the same segments to the same epochs —
@@ -42,7 +43,6 @@ class Tailer:
         lake_dir: str,
         num_partitions: int = 32,
         segments_per_epoch: int = 8,
-        read_kwargs: dict[str, Any] | None = None,
         compact_every: int | None = None,
         merge_mode: str = "cow",
         compact_states_every: int | None = None,
@@ -57,7 +57,6 @@ class Tailer:
         self.lake_dir = lake_dir
         self.num_partitions = num_partitions
         self.segments_per_epoch = segments_per_epoch
-        self.read_kwargs = read_kwargs or {}
         # self-maintenance: roll the commit log into the checkpoint after
         # every N newly closed epochs (safe here: the tailer is the only
         # writer and compaction runs between epochs, never mid-apply) — a
@@ -167,10 +166,9 @@ class Tailer:
                 self._metrics.record_resumed_epoch(epoch)
                 continue
             efiles = files[epoch * self.segments_per_epoch : (epoch + 1) * self.segments_per_epoch]
-            ds = ray.data.read_parquet(efiles, **self.read_kwargs)
             try:
                 records = apply_epoch(
-                    ds,
+                    efiles,
                     self.lake_dir,
                     epoch,
                     num_partitions=self.num_partitions,

@@ -180,7 +180,8 @@ def test_reconcile_snapshot_full_merge_semantics(monkeypatch):
     tails = []
     real_two = ing._exchange_two_level
     monkeypatch.setattr(
-        ing, "_exchange_two_level", lambda refs, p: tails.append(len(refs)) or real_two(refs, p)
+        ing, "_exchange_two_level",
+        lambda srcs, p, map_args: tails.append(len(srcs)) or real_two(srcs, p, map_args),
     )
     monkeypatch.setattr(ing, "TWO_LEVEL_AUTO_REFS", 0)
 

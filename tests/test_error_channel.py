@@ -46,6 +46,15 @@ def _write_corrupted(tmp_path, spec):
 
 
 def test_abort_mode_raises(tmp_path):
+    """A map task that aborts on a malformed event fails the whole epoch:
+    no commit record, no manifest, nothing readable. Rewriting the
+    segments clean and rerunning gives an oracle-equal lake."""
+    import glob
+
+    from sonic_etl_ray.generator import generate_events
+    from sonic_etl_ray.pipelines.ingest import read_lake
+    from sonic_etl_ray.state import commitlog as cl
+
     spec = StreamSpec(n_events=500, n_repos=5, seed=41, segment_size=250)
     _, files = _write_corrupted(tmp_path, spec)
     lake = scratch_lake_dir("abort")
@@ -54,6 +63,13 @@ def test_abort_mode_raises(tmp_path):
     assert "MalformedEventError" in str(ei.value) or isinstance(
         ei.value, MalformedEventError
     )
+    assert not glob.glob(os.path.join(lake, "_commits", "**", "*.json"), recursive=True)
+    assert cl.committed_epochs(lake) == [] and not cl.epoch_manifest_exists(lake, 0)
+    assert read_lake(lake).count() == 0
+
+    assert write_segments(generate_events(spec), str(tmp_path / "segs"), spec) == files
+    run_ingest(files, lake, num_partitions=2, on_error="abort")
+    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
 
 
 def test_route_mode_diverts_and_applies_valid(tmp_path):

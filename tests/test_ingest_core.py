@@ -209,15 +209,22 @@ def test_read_fallback_failover_on_poisoned_primary(tmp_path):
         )
 
 
-@pytest.mark.parametrize("limit", ["default", 0])
+# Dataset cases keep the ids [P-limit]; segment-path cases are [P-limit-paths]
+@pytest.mark.parametrize(
+    "limit,source",
+    [("default", "dataset"), (0, "dataset"), ("default", "paths"), (0, "paths")],
+    ids=["default", "0", "default-paths", "0-paths"],
+)
 @pytest.mark.parametrize("num_partitions", [1, 2, 4, 7])
-def test_exchange_depth_matches_oracle(tmp_path, monkeypatch, num_partitions, limit):
-    """The exchange streams one-level splits until blocks×P would cross
-    TWO_LEVEL_AUTO_REFS, then routes the REMAINING blocks two-level. With
-    the limit forced to 0 the first block goes one-level and the rest
-    two-level: P=7 gives ragged groups (√7→3: 3+3+1, a single-partition
-    tail group), P=2 a single group (the one-level fallback), and P=1 never
-    goes two-level. Every shape is bit-identical to the oracle."""
+def test_exchange_depth_matches_oracle(tmp_path, monkeypatch, num_partitions, limit, source):
+    """One map task per input (segment path, or block of a 3-block
+    Dataset) splits one-level until inputs×P would cross
+    TWO_LEVEL_AUTO_REFS, then the REMAINING inputs' map tasks emit group
+    slices for the regroup hop. With the limit forced to 0 the first input
+    goes one-level and the rest two-level: P=7 gives ragged groups (√7→3:
+    3+3+1, a single-partition tail group), P=2 a single group (the
+    one-level fallback), and P=1 never goes two-level. Every shape is
+    bit-identical to the oracle."""
     import ray.data
 
     from sonic_etl_ray.pipelines import ingest as ing
@@ -227,20 +234,18 @@ def test_exchange_depth_matches_oracle(tmp_path, monkeypatch, num_partitions, li
     tails = []
     real_two = ing._exchange_two_level
 
-    def spy_two(block_refs, p):
-        tails.append(len(block_refs))
-        return real_two(block_refs, p)
+    def spy_two(srcs, p, map_args):
+        tails.append(len(srcs))
+        return real_two(srcs, p, map_args)
 
     monkeypatch.setattr(ing, "_exchange_two_level", spy_two)
     if limit == 0:
         monkeypatch.setattr(ing, "TWO_LEVEL_AUTO_REFS", 0)
-    lake = scratch_lake_dir(f"exchange_p{num_partitions}_{limit}")
-    ing.apply_epoch(
-        ray.data.read_parquet(files, override_num_blocks=3),
-        lake, epoch=0, num_partitions=num_partitions, batch_size=500,
-    )
+    lake = scratch_lake_dir(f"exchange_p{num_partitions}_{limit}_{source}")
+    src = files if source == "paths" else ray.data.read_parquet(files, override_num_blocks=3)
+    ing.apply_epoch(src, lake, epoch=0, num_partitions=num_partitions)
     if limit == 0 and num_partitions > 1:
-        assert len(tails) == 1 and tails[0] >= 2  # ≥3 blocks: head 1, tail ≥2
+        assert len(tails) == 1 and tails[0] >= 2  # ≥3 inputs: head 1, tail ≥2
     else:
         assert tails == []
     assert_state_equal(lake_final_table(lake), oracle_final_state(files))
@@ -250,7 +255,9 @@ def test_ingest_paths_materialize_nothing_on_the_driver(tmp_path, monkeypatch):
     """Rows stay in the object store on every write path: with the driver's
     Dataset materializers patched to raise, a 4-epoch run_ingest, a plain
     Tailer.tick() and a reconcile_snapshot all still produce oracle-equal
-    lakes (the merge sees refs only; records come back as small dicts)."""
+    lakes (the merge sees refs only; records come back as small dicts).
+    The segment-path legs (run_ingest, tick) build no Dataset at all:
+    there ``read_parquet`` and block iteration raise too."""
     import os
     import shutil
 
@@ -268,18 +275,24 @@ def test_ingest_paths_materialize_nothing_on_the_driver(tmp_path, monkeypatch):
     for name in ("take_all", "take", "take_batch", "to_pandas", "iter_rows", "iter_batches"):
         monkeypatch.setattr(ray.data.Dataset, name, forbidden)
 
-    lake = scratch_lake_dir("nodriver_ingest")
-    stats = run_ingest(files, lake, num_partitions=4, segments_per_epoch=2)
-    assert stats["epochs_applied"] == 4
-    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
+    def no_dataset(*a, **kw):
+        raise AssertionError("Dataset built on the segment-path write path")
 
-    tail_dir = str(tmp_path / "tail")
-    os.makedirs(tail_dir)
-    for f in files[:4]:
-        shutil.copy(f, tail_dir)
-    tail_lake = scratch_lake_dir("nodriver_tail")
-    tick = Tailer(tail_dir, tail_lake, num_partitions=4, segments_per_epoch=2).tick()
-    assert tick["epochs_applied"] == 2
+    with monkeypatch.context() as m:
+        m.setattr(ray.data, "read_parquet", no_dataset)
+        m.setattr(ray.data.Dataset, "iter_internal_ref_bundles", no_dataset)
+        lake = scratch_lake_dir("nodriver_ingest")
+        stats = run_ingest(files, lake, num_partitions=4, segments_per_epoch=2)
+        assert stats["epochs_applied"] == 4
+
+        tail_dir = str(tmp_path / "tail")
+        os.makedirs(tail_dir)
+        for f in files[:4]:
+            shutil.copy(f, tail_dir)
+        tail_lake = scratch_lake_dir("nodriver_tail")
+        tick = Tailer(tail_dir, tail_lake, num_partitions=4, segments_per_epoch=2).tick()
+        assert tick["epochs_applied"] == 2
+    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
     assert_state_equal(lake_final_table(tail_lake), oracle_final_state(files[:4]))
 
     # reconcile the half-tailed lake against the full stream's final state

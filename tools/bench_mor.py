@@ -71,8 +71,7 @@ def _run(files: list[str], mode: str) -> dict:
         shutil.rmtree(lake, ignore_errors=True)
         t0 = time.perf_counter()
         run_ingest(
-            files, lake, num_partitions=32, segments_per_epoch=2,
-            read_kwargs={"override_num_blocks": 128}, merge_mode=mode,
+            files, lake, num_partitions=32, segments_per_epoch=2, merge_mode=mode,
         )
         apply_sec = time.perf_counter() - t0
         written = _lake_bytes(lake)  # before compaction: the apply-path cost
