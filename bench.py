@@ -103,7 +103,6 @@ def _run_headline() -> dict:
             lake,
             num_partitions=32,
             segments_per_epoch=int(os.environ.get("BENCH_SPE", "32")),
-            fused=bool(os.environ.get("BENCH_FUSED")),
             # BENCH_TRACK_HISTORY=1: measure the SCD2 sidecar's overhead
             # (version-preserving combiner + per-unit archive write)
             track_history=bool(os.environ.get("BENCH_TRACK_HISTORY")),

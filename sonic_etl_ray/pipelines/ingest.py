@@ -324,6 +324,17 @@ def resolve_partition_state(
 _resolve_partition_task = ray.remote(num_cpus=1)(resolve_partition_state)
 
 
+def _publish(table: pa.Table, path: str) -> str:
+    """Atomically publish ``table`` as the Parquet file ``path``: write a
+    uniquely named tmp sibling, then rename it over ``path``, so readers
+    never see a partial file. Writes through the module's ``pq`` name."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
+    pq.write_table(table, tmp, **parquet_write_kwargs())
+    os.rename(tmp, path)
+    return path
+
+
 def compact_partition(lake_dir: str, part: int) -> dict[str, Any]:
     """Fold a partition's trailing merge-on-read deltas into a new base
     STATE file (the Hudi compaction analog). The new base takes the next
@@ -338,10 +349,7 @@ def compact_partition(lake_dir: str, part: int) -> dict[str, Any]:
     state = _lww_resolve([pq.read_table(p) for _, _, p, _ in live])
     seq = files[-1][0] + 1
     epoch = max(f[1] for f in live)
-    out = cl.state_path(lake_dir, part, epoch, seq)
-    tmp = f"{out}.tmp.{uuid.uuid4().hex[:8]}"
-    pq.write_table(state, tmp, **parquet_write_kwargs())
-    os.rename(tmp, out)
+    out = _publish(state, cl.state_path(lake_dir, part, epoch, seq))
     _write_stats_sidecar(state, out)  # stats view freshness = last compaction
     n_deltas = sum(1 for f in live if f[3] == "delta")
     # compaction lineage marker: the base has no commit record of its own
@@ -403,11 +411,7 @@ def _write_stats_sidecar(state: pa.Table, state_file: str) -> str:
         .aggregate([("size_bytes", "sum"), ("size_bytes", "count")])
         .rename_columns(["repo", "total_bytes", "n_files"])
     )
-    stats_file = state_file.replace("state-", "stats-")
-    stmp = f"{stats_file}.tmp.{uuid.uuid4().hex[:8]}"
-    pq.write_table(stats, stmp, **parquet_write_kwargs())
-    os.rename(stmp, stats_file)
-    return stats_file
+    return _publish(stats, state_file.replace("state-", "stats-"))
 
 
 class MergeApplier:
@@ -482,9 +486,10 @@ class MergeApplier:
         input_desc: dict[str, Any] | None = None,
     ) -> tuple[dict[str, Any], pa.Table | None, int | None]:
         """Apply one (epoch, partition) unit. ``mem`` chains in-memory state
-        across consecutive epochs (fused mode): (prior_state|None, prior_seq,
-        watermark). Returns (commit record, new state, new seq); state/seq
-        are None when the unit was already committed or not rewritten."""
+        across consecutive epochs: (prior_state|None, prior_seq, watermark);
+        None reads the prior state from the lake. Returns (commit record, new
+        state, new seq); state/seq are None when the unit was already
+        committed or not rewritten."""
         lake = self.lake_dir
         if input_desc is None:
             input_desc = self.input_desc
@@ -519,16 +524,14 @@ class MergeApplier:
             # default table keeps the original flat layout; named tables
             # nest under table=<name>/
             sub = [] if tname == TABLE_DECODED else [f"table={tname}"]
-            decoded_file = os.path.join(
-                lake, "_decoded", *sub, cl.EPOCH_FMT.format(epoch),
-                cl.PART_FMT.format(part) + ".parquet",
+            decoded_files[tname] = _publish(  # the commit record gates it
+                decoded,
+                os.path.join(
+                    lake, "_decoded", *sub, cl.EPOCH_FMT.format(epoch),
+                    cl.PART_FMT.format(part) + ".parquet",
+                ),
             )
-            os.makedirs(os.path.dirname(decoded_file), exist_ok=True)
-            dtmp = f"{decoded_file}.tmp.{uuid.uuid4().hex[:8]}"
-            pq.write_table(decoded, dtmp, **parquet_write_kwargs())
-            os.rename(dtmp, decoded_file)  # atomic; commit record gates it
             n_decoded += decoded.num_rows
-            decoded_files[tname] = decoded_file
         decoded_file = decoded_files.get(TABLE_DECODED)
 
         n_errors = 0
@@ -538,15 +541,14 @@ class MergeApplier:
             n_errors = errors.num_rows
             if n_errors:
                 # divert malformed rows to the per-partition error channel
-                epath = os.path.join(
-                    lake, "_errors", cl.EPOCH_FMT.format(epoch),
-                    cl.PART_FMT.format(part) + ".parquet",
-                )
-                os.makedirs(os.path.dirname(epath), exist_ok=True)
-                etmp = f"{epath}.tmp.{uuid.uuid4().hex[:8]}"
                 drop = [c for c in (PART_COLUMN, W_COLUMN) if c in errors.column_names]
-                pq.write_table(errors.drop_columns(drop), etmp, **parquet_write_kwargs())
-                os.rename(etmp, epath)
+                _publish(
+                    errors.drop_columns(drop),
+                    os.path.join(
+                        lake, "_errors", cl.EPOCH_FMT.format(epoch),
+                        cl.PART_FMT.format(part) + ".parquet",
+                    ),
+                )
             group = group.filter(pc.invert(err_mask)).drop_columns([ERROR_COLUMN])
 
         watermark = mem[2] if mem is not None else cl.partition_watermark(lake, part)
@@ -585,15 +587,13 @@ class MergeApplier:
             # must record them
             versions = _history_versions(group)
             if versions.num_rows:
-                hfile = os.path.join(
-                    lake, "_history", cl.EPOCH_FMT.format(epoch),
-                    cl.PART_FMT.format(part) + ".parquet",
+                record["history_file"] = _publish(  # the commit record gates it
+                    versions,
+                    os.path.join(
+                        lake, "_history", cl.EPOCH_FMT.format(epoch),
+                        cl.PART_FMT.format(part) + ".parquet",
+                    ),
                 )
-                os.makedirs(os.path.dirname(hfile), exist_ok=True)
-                htmp = f"{hfile}.tmp.{uuid.uuid4().hex[:8]}"
-                pq.write_table(versions, htmp, **parquet_write_kwargs())
-                os.rename(htmp, hfile)  # atomic; commit record gates it
-                record["history_file"] = hfile
                 record["n_history_rows"] = versions.num_rows
 
         def _noop_commit(prior_ref) -> dict[str, Any]:
@@ -609,7 +609,7 @@ class MergeApplier:
 
         if self.merge_mode == "mor":
             if mem is not None:
-                raise ValueError("fused mode chains in-memory state; use merge_mode='cow'")
+                raise ValueError("in-memory state chaining requires merge_mode='cow'")
             frontier = cl.latest_file(lake, part)
             if fresh.num_rows == 0 and frontier is not None:
                 return _noop_commit(frontier), None, None
@@ -618,11 +618,8 @@ class MergeApplier:
             delta = _project_state(fresh)
             delta = delta.take(pc.sort_indices(delta, sort_keys=STATE_SORT))
             seq = cl.next_seq(lake, part)
-            out = cl.delta_path(lake, part, epoch, seq)
-            os.makedirs(os.path.dirname(out), exist_ok=True)
-            tmp = f"{out}.tmp.{uuid.uuid4().hex[:8]}"
-            pq.write_table(delta, tmp, **parquet_write_kwargs())
-            os.rename(tmp, out)  # atomic; commit record is the commit point
+            # the commit record below is the commit point
+            out = _publish(delta, cl.delta_path(lake, part, epoch, seq))
             record.update(
                 n_rows=-1,  # resolved row count unknown by design (no base read)
                 n_delta_rows=delta.num_rows,
@@ -693,11 +690,7 @@ class MergeApplier:
         state = state.take(pc.sort_indices(state, sort_keys=STATE_SORT))
 
         seq = (prior_seq + 1) if prior_seq is not None else 0
-        out = cl.state_path(lake, part, epoch, seq)
-        os.makedirs(os.path.dirname(out), exist_ok=True)
-        tmp = f"{out}.tmp.{uuid.uuid4().hex[:8]}"
-        pq.write_table(state, tmp, **parquet_write_kwargs())
-        os.rename(tmp, out)  # atomic publish of the data file
+        out = _publish(state, cl.state_path(lake, part, epoch, seq))
 
         # incremental materialized view: per-repo aggregate sidecar for this
         # partition, maintained at merge time — consumers read ONLY the tiny
@@ -715,65 +708,6 @@ class MergeApplier:
         _note_if_evolved(lake, state.schema)
         cl.write_commit(lake, record)  # atomic commit point
         return record, state, seq
-
-    @staticmethod
-    def _record_row(rec: dict[str, Any]) -> pa.Table:
-        return pa.table(
-            {
-                "epoch": [int(rec["epoch"])],
-                "part": [int(rec["part"])],
-                "applied_lsn": [int(rec["applied_lsn"])],
-                "n_events": [int(rec.get("n_events", 0))],
-                "n_rows": [int(rec.get("n_rows", -1))],
-                "data_file": [rec.get("data_file", "")],
-                "noop": [bool(rec.get("noop", False))],
-                "n_errors": [int(rec.get("n_errors", 0))],
-                "n_decoded": [int(rec.get("n_decoded", 0))],
-            },
-            schema=COMMIT_RECORD_SCHEMA,
-        )
-
-
-class FusedMergeApplier(MergeApplier):
-    """Multi-epoch merge applier for the FUSED execution mode: one Dataset
-    execution carries every epoch's events (tagged with ``__epoch``); the
-    applier receives a partition's rows for ALL epochs at once and applies
-    them in epoch order, chaining state IN MEMORY between epochs — each
-    (epoch, partition) still commits separately (checkpoint granularity is
-    unchanged), but the per-epoch Dataset barriers, task launches, and prior-
-    state disk re-reads are gone.
-
-    Trade-off (measured): with FEW LARGE epochs the fused shuffle carries up
-    to one extra row per key per epoch (the combiner can only collapse
-    within an epoch) and loses wave pipelining, so the sequential loop is
-    faster (e.g. 8M events / 2 epochs: 32 s sequential vs 46 s fused at
-    8 CPUs). Fused pays off when the per-epoch coordination floor dominates
-    — long backlogs of many small epochs. Default off."""
-
-    def __init__(self, lake_dir: str, epoch_inputs: dict[int, dict[str, Any]]):
-        super().__init__(lake_dir, epoch=-1)
-        self.epoch_inputs = epoch_inputs
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        from ..stages.transform import EPOCH_COLUMN
-
-        if group.num_rows == 0:
-            return COMMIT_RECORD_SCHEMA.empty_table()
-        group = group.combine_chunks()
-        part = group.column(PART_COLUMN)[0].as_py()
-        epochs = sorted(set(group.column(EPOCH_COLUMN).to_pylist()))
-        mem: tuple[pa.Table | None, int | None, int] | None = None
-        rows = []
-        for e in epochs:
-            sub = group.filter(pc.equal(group.column(EPOCH_COLUMN), e))
-            sub = sub.drop_columns([EPOCH_COLUMN])
-            rec, state, seq = self.apply_unit(
-                part, e, sub, mem, input_desc=self.epoch_inputs.get(e, {})
-            )
-            mem = (state, seq, int(rec["applied_lsn"])) if state is not None else None
-            rows.append(self._record_row(rec))
-        return pa.concat_tables(rows)
-
 
 def _split_block_at_edges(block: pa.Table, edges) -> tuple:
     """Shared split kernel: one stable argsort on the (small-int) partition
@@ -1054,7 +988,6 @@ def _run_ingest_impl(
     num_partitions: int = 32,
     segments_per_epoch: int = 8,
     on_error: str = "abort",
-    fused: bool = False,
     finalize: bool = True,
     decode_catalog: Any | None = None,
     on_undecodable: str = "abort",
@@ -1070,7 +1003,7 @@ def _run_ingest_impl(
     version into per-(epoch, partition) ``_history/`` sidecar files
     (append-only, commit-gated — see :class:`MergeApplier`), read back via
     :mod:`sonic_etl_ray.pipelines.history` (``read_history`` /
-    ``scd2_view``). Implies the sequential epoch path.
+    ``scd2_view``).
 
     ``read_fallbacks`` lists alternate segment roots (replica mirrors of
     the same stream). When an epoch fails reading from the primary paths,
@@ -1090,13 +1023,11 @@ def _run_ingest_impl(
     ``merge_mode="mor"`` switches the merge to merge-on-read: each epoch
     writes only its per-key winners as a partition DELTA file (no prior
     read, no full rewrite — the sparse-update write-amplification fix at
-    100 TB); readers resolve, ``compact_lake_states`` folds. Implies the
-    sequential epoch path and no suppression.
+    100 TB); readers resolve, ``compact_lake_states`` folds. Excludes
+    ``suppress_unchanged``.
 
     ``suppress_unchanged`` turns on no-op update suppression in the merge
-    (see :class:`MergeApplier`); it implies the sequential epoch path
-    (fused mode chains in-memory state differently and is not combined
-    with suppression).
+    (see :class:`MergeApplier`).
 
     Segments (sorted by name = ascending LSN spans, the coordinator's
     range-chunk analog) are grouped into epochs; epochs with a manifest are
@@ -1207,37 +1138,6 @@ def _run_ingest_impl(
         _apply(rep, delta, {"repair_for_epoch": epoch})
         covered.update(os.path.basename(f) for f in delta)
         repaired += 1
-
-    if fused and (suppress_unchanged or merge_mode == "mor" or track_history):
-        fused = False  # fused chains in-memory COW state; see MergeApplier
-    if fused and on_epoch is not None:
-        # exclusive mode heartbeats + fence-checks the lease via on_epoch
-        # BETWEEN epochs; the fused pipeline applies every epoch in one
-        # execution with no between-epoch hook, so a run longer than the
-        # TTL would go stale unnoticed (the docstring's "TTL only needs to
-        # exceed the longest single epoch" guarantee) — take the epoch loop
-        fused = False
-    if fused and normal:
-        # fused mode needs uniform segment schemas across ALL pending
-        # segments (a mid-epoch column add would silently enter the union
-        # path untested); fall back to the epoch loop otherwise
-        schemas = {str(pq.read_schema(f)) for _, ef in normal for f in ef}
-        if len(schemas) == 1:
-            # on_epoch is None here by construction (the per-epoch hook
-            # forces the epoch loop above)
-            out = _run_ingest_fused(
-                normal,
-                lake_dir,
-                num_partitions=num_partitions,
-                on_error=on_error,
-                epochs_total=len(epochs),
-                decode_catalog=decode_catalog,
-                on_undecodable=on_undecodable,
-            )
-            out["epochs_skipped"] = skipped
-            out["epochs_repaired"] = repaired
-            out["segments_deferred"] = deferred
-            return out
 
     for epoch, efiles in normal:
         _apply(epoch, efiles)
@@ -1363,107 +1263,6 @@ def writer_lease(lake_dir: str, owner: str, ttl_s: float = 60.0):
         yield token
     finally:
         cl.release_writer_lease(lake_dir, token)
-
-
-def _tag_epoch(t: pa.Table, epoch_id: int) -> pa.Table:
-    import numpy as np
-
-    from ..stages.transform import EPOCH_COLUMN
-
-    return t.append_column(
-        EPOCH_COLUMN, pa.array(np.full(t.num_rows, epoch_id, dtype=np.int64))
-    )
-
-
-@ray.remote(num_cpus=1)
-def _fused_merge_partition(
-    applier: FusedMergeApplier, *slices: pa.Table
-) -> list[dict[str, Any]]:
-    """Fused mode's merge task: one partition's rows for every epoch."""
-    live = [s for s in slices if s.num_rows]
-    if not live:
-        return []
-    return applier(pa.concat_tables(live, promote_options="permissive")).to_pylist()
-
-
-def _run_ingest_fused(
-    pending: list[tuple[int, list[str]]],
-    lake_dir: str,
-    num_partitions: int,
-    on_error: str,
-    epochs_total: int,
-    decode_catalog: Any | None = None,
-    on_undecodable: str = "abort",
-) -> dict[str, Any]:
-    """All pending epochs in ONE exchange (see FusedMergeApplier): the
-    epoch-tagged read blocks go through the same map tasks as
-    :func:`apply_epoch`, whose combiner keeps epochs apart."""
-    import time
-
-    os.makedirs(lake_dir, exist_ok=True)
-    _backfill_evolution_marker(lake_dir)
-    # seed the rolling frontier BEFORE the batch commits anything: the
-    # batch's manifests all write after every epoch's files are on disk, so
-    # a full-scan fallback at manifest time would stamp epoch 0's manifest
-    # with the END-of-batch frontier (leaking epochs 1..n into time travel).
-    # Write-if-absent also keeps a crash-resume folding from the original
-    # pre-batch cursor instead of rescanning the crashed batch's files.
-    cl.ensure_rolling_frontier(lake_dir)
-    t0 = time.perf_counter()
-    parts_ds = []
-    epoch_inputs: dict[int, dict[str, Any]] = {}
-    for e, efiles in pending:
-        parts_ds.append(
-            ray.data.read_parquet(efiles).map_batches(
-                _tag_epoch, fn_kwargs={"epoch_id": e}, batch_format="pyarrow"
-            )
-        )
-        epoch_inputs[e] = {"segments": [os.path.basename(f) for f in efiles]}
-    ds = parts_ds[0].union(*parts_ds[1:]) if len(parts_ds) > 1 else parts_ds[0]
-    decode = (decode_catalog, on_undecodable) if decode_catalog is not None else None
-    applier = FusedMergeApplier(lake_dir, epoch_inputs)
-    per_block_refs = _exchange(
-        _iter_block_refs(ds), num_partitions, (on_error, reduce_last_per_key, decode)
-    )
-    out_refs = [
-        _fused_merge_partition.remote(applier, *[refs[p] for refs in per_block_refs])
-        for p in range(num_partitions)
-    ]
-    records = [r for part_records in ray.get(out_refs) for r in part_records]
-    elapsed = round(time.perf_counter() - t0, 3)
-    by_epoch: dict[int, list[dict]] = {}
-    for r in records:
-        by_epoch.setdefault(int(r["epoch"]), []).append(r)
-    # EVERY pending epoch gets a manifest — including all-empty ones that
-    # produced no commit records — so resume fast-forward never re-plans
-    # them (parity with the sequential path, which always manifests)
-    for e, _efiles in pending:
-        recs = by_epoch.get(e, [])
-        cl.write_manifest(
-            lake_dir,
-            e,
-            {
-                "epoch": e,
-                "parts": sorted(int(r["part"]) for r in recs),
-                "applied_lsn_max": max((int(r["applied_lsn"]) for r in recs), default=-1),
-                "n_events": sum(int(r["n_events"]) for r in recs),
-                "n_errors": sum(int(r.get("n_errors", 0)) for r in recs),
-                "input": epoch_inputs.get(e, {}),
-                "num_partitions": num_partitions,
-                "fused": True,
-                "elapsed_sec": elapsed,
-            },
-            # manifests write in ascending-epoch order (= per-partition
-            # commit order inside the fused batch), so folding each epoch's
-            # own record seqs keeps every manifest's frontier exact
-            frontier_updates=_frontier_updates(recs),
-        )
-    return {
-        "epochs_applied": len(pending),
-        "epochs_skipped": epochs_total - len(pending),
-        "epochs_total": epochs_total,
-        "fused": True,
-    }
 
 
 def _lake_parts(lake_dir: str) -> list[int]:
@@ -1666,9 +1465,9 @@ def read_lake(
     # wrote (the rolling frontier cursor proves that); a pre-marker lake
     # walks unconditionally, and the walk backfills the marker it finds.
     # (A never-evolved pre-marker ARCHIVE lake — one that is never written
-    # again — re-walks per filtered read: reads must not create the cursor,
-    # a crashed pre-cursor fused batch could be scanned into it. Any single
-    # post-upgrade apply ends that era.)
+    # again — re-walks per filtered read: reads must not write the lake,
+    # which may sit on read-only storage. Any single post-upgrade apply
+    # ends that era.)
     unified = None
     if (filter is not None or columns is not None) and (
         cl.schema_ever_evolved(lake_dir) or not cl.has_rolling_frontier(lake_dir)

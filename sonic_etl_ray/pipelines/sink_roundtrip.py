@@ -35,6 +35,7 @@ import tempfile
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 from sonic_etl_ray.sources.planner import compress_to_ranges, read_lsn_list_csv
@@ -42,6 +43,18 @@ from sonic_etl_ray.sources.sinks import write_bucketed_parquet, write_jsonl
 from sonic_etl_ray.stages.transform import sha256_column
 
 _BUCKET = 500
+
+
+def _empty_documents(sf_dir: str) -> pa.Table:
+    """Zero-row ``documents`` (doc_id, text) with the source's types. A
+    zero-row source writes no file to read back, so the roundtrips build
+    their typed empty result from this."""
+    schema = pq.read_schema(f"{sf_dir}/documents.parquet")
+    return schema.empty_table().select(["doc_id", "text"])
+
+
+def _doc_sha(t: pa.Table) -> pa.Table:
+    return pa.table({"doc_id": t["doc_id"], "sha_hex": sha256_column(t["text"])})
 
 
 def bucketed_sink_roundtrip(sf_dir: str) -> pd.DataFrame:
@@ -55,7 +68,11 @@ def bucketed_sink_roundtrip(sf_dir: str) -> pd.DataFrame:
         write_bucketed_parquet(ds, out_dir, bucket_column="event_id", bucket_width=_BUCKET)
 
         def agg(t: pa.Table) -> pa.Table:
-            cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0)), pa.int64())
+            # ties away from zero, as SQL ROUND does (Arrow's default is to even)
+            cents = pc.cast(
+                pc.round(pc.multiply(t["value"], 100.0), round_mode="half_towards_infinity"),
+                pa.int64(),
+            )
             t2 = pa.table(
                 {"bucket": pc.cast(t["bucket"], pa.int64()), "cents": cents}
             )
@@ -107,6 +124,8 @@ def jsonl_roundtrip(sf_dir: str) -> pd.DataFrame:
                 }
             )
 
+        if not os.listdir(out_dir):  # zero rows: no part file to read back
+            return fp(_empty_documents(sf_dir)).to_pandas()
         out = (
             ray.data.read_json(out_dir)
             .map_batches(fp, batch_format="pyarrow")
@@ -140,11 +159,10 @@ def ipc_export_roundtrip(sf_dir: str) -> pd.DataFrame:
         ]
 
         def fp(batch: pa.Table) -> pa.Table:
-            t = read_arrow_ipc(batch["path"][0].as_py())
-            return pa.table(
-                {"doc_id": t["doc_id"], "sha_hex": sha256_column(t["text"])}
-            )
+            return _doc_sha(read_arrow_ipc(batch["path"][0].as_py()))
 
+        if not paths:  # zero rows: no shard to read back
+            return _doc_sha(_empty_documents(sf_dir)).to_pandas()
         out = (
             ray.data.from_items([{"path": p} for p in paths])
             .map_batches(fp, batch_format="pyarrow", batch_size=1)

@@ -31,8 +31,12 @@ _ZEROS = pa.array(["0" * (3 * k) for k in range(14)], pa.string())
 
 def _audit_batch(t: pa.Table) -> pa.Table:
     # checked i64 narrowing of the float cents (M10): errors on overflow,
-    # never clamps — mirrors transformation/bq/integer.rs:64-152.
-    cents = checked_int64(pc.round(pc.multiply(t["o_totalprice"], 100.0)), "cents")
+    # never clamps — mirrors transformation/bq/integer.rs:64-152. Ties round
+    # away from zero, as SQL ROUND does (Arrow's default rounds to even).
+    cents = checked_int64(
+        pc.round(pc.multiply(t["o_totalprice"], 100.0), round_mode="half_towards_infinity"),
+        "cents",
+    )
     digits = pc.cast(cents, pa.string())
     k = t["o_orderkey"]
     # pyarrow has no modulo kernel; int64 divide truncates, keys are ≥ 0

@@ -126,16 +126,9 @@ class ContentDecoder:
         )
         decodable = lang.isin(self.catalog.selectors()) & content.notna() & err.isna()
 
-        from .transform import EPOCH_COLUMN
-
         lsn = np.asarray(batch.column("lsn"))
         repo = batch.column("repo").to_pandas()
         path = batch.column("path").to_pandas()
-        epoch = (
-            np.asarray(batch.column(EPOCH_COLUMN))
-            if EPOCH_COLUMN in batch.column_names  # fused mode: epoch rides along
-            else None
-        )
         new_err = err.copy()
         decoded_parts: list[pa.Table] = []
         for sel in self.catalog.selectors():
@@ -168,8 +161,6 @@ class ContentDecoder:
                 "args": pa.array(_json_args(groups), pa.string()),
                 "line_no": pa.array(np.zeros(idx.size, dtype=np.int64)),
             }
-            if epoch is not None:
-                cols[EPOCH_COLUMN] = pa.array(epoch[idx], pa.int64())
             decoded_parts.append(pa.table(cols))
 
         if self.on_undecodable == "route" and not new_err.equals(err):

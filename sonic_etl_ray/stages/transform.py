@@ -189,7 +189,6 @@ def reduce_last_per_key(batch: pa.Table) -> pa.Table:
 
 
 W_COLUMN = "__w"  # raw-delivery weight: how many input events a row stands for
-EPOCH_COLUMN = "__epoch"  # fused-mode epoch tag: combiner must not collapse across epochs
 
 
 def _reduce_valid(batch: pa.Table) -> pa.Table:
@@ -201,16 +200,9 @@ def _reduce_valid(batch: pa.Table) -> pa.Table:
         return batch
     order = pc.sort_indices(batch, sort_keys=[("lsn", "ascending")])
     sorted_tbl = batch.take(order)
-    if EPOCH_COLUMN in sorted_tbl.column_names:
-        # fused multi-epoch mode: each epoch's winner must survive so every
-        # (epoch, partition) commit sees its own events — reduce per
-        # (key, epoch), not per key
-        keys = key_strings(sorted_tbl, key=("repo", "path", EPOCH_COLUMN))
-    else:
-        keys = key_strings(sorted_tbl)
     idx = pa.table(
         {
-            "k": keys,
+            "k": key_strings(sorted_tbl),
             "i": pa.array(np.arange(sorted_tbl.num_rows, dtype=np.int64)),
             "w": sorted_tbl.column(W_COLUMN),
         }
@@ -271,13 +263,9 @@ def _distinct_valid(batch: pa.Table) -> pa.Table:
         )
     if batch.num_rows <= 1:
         return batch
-    key: tuple[str, ...] = ("repo", "path", "lsn")
-    if EPOCH_COLUMN in batch.column_names:
-        key += (EPOCH_COLUMN,)
-    keys = key_strings(batch, key=key)
     idx = pa.table(
         {
-            "k": keys,
+            "k": key_strings(batch, key=("repo", "path", "lsn")),
             "i": pa.array(np.arange(batch.num_rows, dtype=np.int64)),
             "w": batch.column(W_COLUMN),
         }

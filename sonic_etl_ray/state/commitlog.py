@@ -311,20 +311,6 @@ def has_rolling_frontier(lake_dir: str) -> bool:
     return os.path.exists(_rolling_frontier_path(lake_dir))
 
 
-def ensure_rolling_frontier(lake_dir: str) -> None:
-    """Seed the rolling frontier cursor from a full scan IF ABSENT — called
-    before a fused batch commits anything, so every manifest in the batch
-    folds onto the true PRE-batch frontier. Write-if-absent is also the
-    crash story: a resume finds the seed the crashed run wrote before its
-    first commit and keeps folding from the original pre-batch state
-    (re-seeding on resume would scan the crashed batch's files into every
-    manifest)."""
-    path = _rolling_frontier_path(lake_dir)
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write(path, json.dumps(_frontier_seqs(lake_dir), sort_keys=True).encode())
-
-
 def _evolution_marker_path(lake_dir: str) -> str:
     return os.path.join(lake_dir, "_commits", "_schema_evolved")
 

@@ -6,9 +6,14 @@ import glob
 import os
 
 from sonic_etl_ray.generator import StreamSpec, generate_stream
-from sonic_etl_ray.oracle import assert_state_equal
+from sonic_etl_ray.oracle import assert_state_equal, oracle_final_state
 from sonic_etl_ray.pipelines.ingest import lake_final_table, lineage, run_ingest, scratch_lake_dir
-from sonic_etl_ray.state.commitlog import compact_commits, partition_watermark
+from sonic_etl_ray.state.commitlog import (
+    committed_epochs,
+    compact_commits,
+    partition_watermark,
+    read_manifest,
+)
 
 
 def _gen(tmp_path, n_events=2_000):
@@ -75,17 +80,25 @@ def test_late_segment_repair_across_checkpoint(tmp_path):
     assert_state_equal(lake_final_table(lake), lake_final_table(full))
 
 
-def test_fused_resume_from_checkpoint(tmp_path):
-    files = _gen(tmp_path)
-    lake = scratch_lake_dir("ckpt5")
-    run_ingest(files[:4], lake, num_partitions=4, segments_per_epoch=2)
-    compact_commits(lake)
-    # fused planning must see checkpointed epochs as committed
-    stats = run_ingest(files, lake, num_partitions=4, segments_per_epoch=2, fused=True)
-    assert stats["epochs_skipped"] == 2 and stats["epochs_applied"] == 2
-    full = scratch_lake_dir("ckpt5_full")
-    run_ingest(files, full, num_partitions=4, segments_per_epoch=2)
-    assert_state_equal(lake_final_table(lake), lake_final_table(full))
+def test_empty_epoch_gets_manifest(tmp_path):
+    """An epoch whose segments hold zero rows still gets a manifest, so the
+    next run skips it instead of re-planning it forever."""
+    import pyarrow.parquet as pq
+
+    spec = StreamSpec(n_events=2000, n_repos=5, seed=306, segment_size=500)
+    files = generate_stream(str(tmp_path / "segs"), spec)  # segments 0..3
+    empty = str(tmp_path / "segs" / "segment_000004.parquet")
+    pq.write_table(pq.read_schema(files[0]).empty_table(), empty)
+    allfiles = files + [empty]
+
+    lake = scratch_lake_dir("ckptempty")
+    s1 = run_ingest(allfiles, lake, num_partitions=2, segments_per_epoch=2)
+    assert s1["epochs_applied"] == 3  # incl. the empty epoch
+    assert committed_epochs(lake) == [0, 1, 2]
+    assert read_manifest(lake, 2)["n_events"] == 0
+    s2 = run_ingest(allfiles, lake, num_partitions=2, segments_per_epoch=2)
+    assert s2["epochs_applied"] == 0 and s2["epochs_skipped"] == 3
+    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
 
 
 def test_time_travel_survives_compaction(tmp_path):

@@ -111,6 +111,8 @@ def test_decode_dup_delivery_exactly_once():
 
 
 def test_decode_fused_multi_epoch(tmp_path):
+    """Decode on the epoch loop across two epochs: each epoch publishes its
+    own decoded rows, and the result matches one epoch over both segments."""
     import os
 
     seg_dir = str(tmp_path / "segs")
@@ -119,17 +121,16 @@ def test_decode_fused_multi_epoch(tmp_path):
     t = pa.Table.from_pylist(tbl)
     pq.write_table(t.slice(0, 3), os.path.join(seg_dir, "segment_000000.parquet"))
     pq.write_table(t.slice(3), os.path.join(seg_dir, "segment_000001.parquet"))
-    lake_seq = scratch_lake_dir("dec6a")
-    lake_fused = scratch_lake_dir("dec6b")
+    lake_two = scratch_lake_dir("dec6a")
+    lake_one = scratch_lake_dir("dec6b")
     files = sorted(glob.glob(seg_dir + "/*.parquet"))
-    for lake, fused in ((lake_seq, False), (lake_fused, True)):
+    for lake, spe in ((lake_two, 1), (lake_one, 2)):
         run_ingest(
-            files, lake, num_partitions=2, segments_per_epoch=1,
-            fused=fused, decode_catalog=CATALOG,
+            files, lake, num_partitions=2, segments_per_epoch=spe, decode_catalog=CATALOG,
         )
-    assert read_decoded(lake_fused).equals(read_decoded(lake_seq))
-    assert lake_final_table(lake_fused).equals(lake_final_table(lake_seq))
-    assert read_decoded(lake_seq).num_rows == 3
+    assert read_decoded(lake_two).equals(read_decoded(lake_one))
+    assert lake_final_table(lake_two).equals(lake_final_table(lake_one))
+    assert read_decoded(lake_two).num_rows == 3
 
 
 def test_n_table_fanout_routes_and_reads_back(tmp_path):

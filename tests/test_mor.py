@@ -224,21 +224,6 @@ def test_mor_guards():
         MergeApplier("/tmp/x", 0, merge_mode="wat")
 
 
-def test_mor_fused_falls_back_to_sequential(tmp_path):
-    """fused=True with merge_mode='mor' silently takes the epoch loop (the
-    fused path chains in-memory COW state) — result identical."""
-    spec = StreamSpec(n_events=3000, n_repos=6, seed=31, segment_size=300)
-    seg = str(tmp_path / "segments")
-    files = generate_stream(seg, spec)
-    lake = scratch_lake_dir("morfused")
-    out = run_ingest(
-        files, lake, num_partitions=4, segments_per_epoch=5, fused=True, merge_mode="mor"
-    )
-    assert out["epochs_applied"] == 2  # sequential accounting, not fused
-    assert_state_equal(lake_final_table(lake), oracle_final_state(files))
-    assert glob.glob(os.path.join(lake, "part=*", "delta-*.parquet"))
-
-
 def test_mor_tailer_with_state_compaction(tmp_path):
     from sonic_etl_ray.pipelines.tail import Tailer
 

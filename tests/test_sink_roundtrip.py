@@ -9,6 +9,7 @@ import sys
 import duckdb
 import pandas as pd
 import pyarrow.parquet as pq
+import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
@@ -99,3 +100,27 @@ def test_checked_timestamp_floors_pre_epoch(tmp_path):
     assert list(out["ts_s"].astype(str)) == [
         "1969-12-31 23:59:59", "1970-01-01 00:00:00"
     ]
+
+
+@pytest.mark.parametrize("query", [jsonl_roundtrip, ipc_export_roundtrip], ids=lambda f: f.__name__)
+def test_document_roundtrips_zero_row_corpus(tmp_path, query):
+    """A zero-row ``documents`` table writes no file; the roundtrip returns
+    the oracle's typed empty frame instead of failing to read back."""
+    dst = str(tmp_path)
+    pq.write_table(pq.read_table(f"{SF}/documents.parquet").slice(0, 0), f"{dst}/documents.parquet")
+    pq.write_table(pq.read_table(f"{SF}/events.parquet"), f"{dst}/events.parquet")
+    _strict(query(dst), _oracle(query.__name__, dst))
+
+
+def test_bucketed_sink_rounds_half_cents_like_duckdb(tmp_path):
+    """Exact half-cent values (k + 0.125 → k·100 + 12.5 cents) round away
+    from zero, as DuckDB's ROUND does, not to even."""
+    import pyarrow as pa
+
+    dst = str(tmp_path)
+    ev = pq.read_table(f"{SF}/events.parquet")
+    halves = pa.array([(i % 40) + 0.125 + 0.25 * (i % 4) for i in range(ev.num_rows)], pa.float64())
+    ev = ev.set_column(ev.schema.get_field_index("value"), "value", halves)
+    pq.write_table(ev, f"{dst}/events.parquet")
+    pq.write_table(pq.read_table(f"{SF}/documents.parquet"), f"{dst}/documents.parquet")
+    _strict(bucketed_sink_roundtrip(dst), _oracle("bucketed_sink_roundtrip", dst))

@@ -27,10 +27,10 @@ from sonic_etl_ray.pipelines.typed_audit import (  # noqa: E402
 SF = "/root/testdata/sf0.001"
 
 
-def _oracle(name: str) -> pd.DataFrame:
+def _oracle(name: str, sf: str = SF) -> pd.DataFrame:
     con = duckdb.connect()
     for t in ("orders", "documents", "events"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
     return con.execute(entry.oracle_sql()[name]).df()
 
 
@@ -49,6 +49,26 @@ def test_typed_narrowing_audit_matches_oracle():
     assert (eng["numeric_ok"] == 1).sum() > 0
     capped_rows = eng.loc[eng["capped"] != eng["lossless"], "capped"]
     assert (capped_rows == "9" * 38).all()
+
+
+def test_typed_narrowing_audit_rounds_half_cents_like_duckdb(tmp_path):
+    """Exact half-cent prices (k + 0.125 → k·100 + 12.5 cents) round away
+    from zero, as DuckDB's ROUND does, not to even."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    orders = pq.read_table(f"{SF}/orders.parquet")
+    halves = pa.array(
+        [(i % 50) + 0.125 + 0.25 * (i % 4) for i in range(orders.num_rows)], pa.float64()
+    )
+    orders = orders.set_column(
+        orders.schema.get_field_index("o_totalprice"), "o_totalprice", halves
+    )
+    pq.write_table(orders, str(tmp_path / "orders.parquet"))
+    for t in ("documents", "events"):
+        pq.write_table(pq.read_table(f"{SF}/{t}.parquet"), str(tmp_path / f"{t}.parquet"))
+    eng = typed_narrowing_audit(str(tmp_path))
+    _assert_frame_equal_strict(eng, _oracle("typed_narrowing_audit", str(tmp_path)))
 
 
 def test_content_sha_hex_matches_oracle_and_hashlib():
