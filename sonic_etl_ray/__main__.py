@@ -334,62 +334,25 @@ def main(argv: list[str] | None = None) -> int:
 
         print(json.dumps(vacuum(args.lake, keep_epochs=args.keep_epochs)))
         return 0
-    if args.cmd == "compact-history":
-        _ray_init(args.num_cpus)  # per-partition fold tasks
-        from .pipelines.history import compact_history
+    verb, _, family = args.cmd.partition("-")
+    if verb in ("compact", "expire") and family in ("history", "decoded", "errors"):
+        from .pipelines.sidecars import ERRORS, HISTORY, decoded, decoded_tables
 
-        print(json.dumps(compact_history(args.lake, min_files=args.min_files)))
-        import ray
+        if family == "decoded":
+            tables = decoded_tables(args.lake) if args.all_tables else [args.table]
+            fams = {t or "decoded": decoded(t) for t in tables}
+        else:
+            fams = {family: HISTORY if family == "history" else ERRORS}
+        if verb == "compact":
+            _ray_init(args.num_cpus)  # per-partition fold tasks
+            out = {k: f.compact(args.lake, min_files=args.min_files) for k, f in fams.items()}
+        else:
+            out = {k: f.expire(args.lake, before_epoch=args.before_epoch) for k, f in fams.items()}
+        print(json.dumps(out if family == "decoded" else out[family]))
+        if verb == "compact":
+            import ray
 
-        ray.shutdown()
-        return 0
-    if args.cmd == "compact-decoded":
-        _ray_init(args.num_cpus)  # per-partition fold tasks
-        from .pipelines.ingest import compact_decoded, decoded_tables
-
-        tables = decoded_tables(args.lake) if args.all_tables else [args.table]
-        out = {
-            t or "decoded": compact_decoded(args.lake, table=t, min_files=args.min_files)
-            for t in tables
-        }
-        print(json.dumps(out))
-        import ray
-
-        ray.shutdown()
-        return 0
-    if args.cmd == "compact-errors":
-        _ray_init(args.num_cpus)  # per-partition fold tasks
-        from .pipelines.ingest import compact_errors
-
-        print(json.dumps(compact_errors(args.lake, min_files=args.min_files)))
-        import ray
-
-        ray.shutdown()
-        return 0
-    if args.cmd == "expire-history":
-        from .pipelines.history import expire_history
-
-        print(json.dumps(expire_history(args.lake, before_epoch=args.before_epoch)))
-        return 0
-    if args.cmd == "expire-decoded":
-        from .pipelines.ingest import decoded_tables, expire_decoded
-
-        tables = decoded_tables(args.lake) if args.all_tables else [args.table]
-        print(
-            json.dumps(
-                {
-                    t or "decoded": expire_decoded(
-                        args.lake, before_epoch=args.before_epoch, table=t
-                    )
-                    for t in tables
-                }
-            )
-        )
-        return 0
-    if args.cmd == "expire-errors":
-        from .pipelines.ingest import expire_errors
-
-        print(json.dumps(expire_errors(args.lake, before_epoch=args.before_epoch)))
+            ray.shutdown()
         return 0
     if args.cmd == "schema-export":
         from .schemas_export import export_table_contracts

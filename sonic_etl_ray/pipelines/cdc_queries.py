@@ -482,7 +482,7 @@ def cdc_decoded_events(sf_dir: str) -> pd.DataFrame:
     output): catalog-matched change events emit (lsn, repo, path,
     event_name, args) rows alongside the merged file state
     (``PerBlockRecords`` publish fan-out, ``sonic_config/mod.rs:501-574``)."""
-    from ..pipelines.ingest import read_decoded
+    from ..pipelines.sidecars import read_decoded
 
     lake = scratch_lake_dir("cdcdec")
     apply_epoch(
@@ -498,7 +498,7 @@ def cdc_split_decoded_tables(sf_dir: str) -> pd.DataFrame:
     THREE typed outputs (state + 2 decoded tables), each gated by the unit
     commit record (the reference's six-table PerBlockRecords publish,
     ``sonic_config/mod.rs:305-314``). Returns the union with a tbl label."""
-    from ..pipelines.ingest import decoded_tables, read_decoded
+    from ..pipelines.sidecars import decoded_tables, read_decoded
     from ..stages.decode import DecodeCatalog, EventSpec
 
     catalog = DecodeCatalog(
@@ -530,7 +530,7 @@ def cdc_multitable_counts(sf_dir: str) -> pd.DataFrame:
     """Both fan-out tables from the SAME single pass: per-repo file-state
     row counts AND decoded-event counts (cross-table accounting, the
     set_event_count analog, ``common.rs:498-503``)."""
-    from ..pipelines.ingest import read_decoded
+    from ..pipelines.sidecars import read_decoded
 
     lake = scratch_lake_dir("cdcmt")
     apply_epoch(
@@ -965,7 +965,7 @@ def cdc_error_channel(sf_dir: str) -> pd.DataFrame:
     are ROUTED to the per-partition error channel instead of aborting the
     epoch, and read back as (lsn, reason) — the oracle recomputes the same
     classification from the raw events."""
-    from ..pipelines.ingest import read_errors
+    from ..pipelines.sidecars import read_errors
     from ..stages.transform import ERROR_COLUMN
 
     lake = scratch_lake_dir("cdcerr")

@@ -5,10 +5,11 @@ distinct delivered versions into an append-only, commit-gated file
 ``_history/epoch=E/part=P.parquet`` (see ``MergeApplier.apply_unit``). This
 module is the read side:
 
-- :func:`history_files` — committed history files (the commit record is the
-  gate: a crash between the sidecar write and the commit leaves an orphan
-  file that is invisible here and harmlessly overwritten on replay);
-- :func:`read_history` — the archive as a streaming ``ray.data.Dataset``;
+- :func:`history_files`, :func:`read_history`, :func:`compact_history`,
+  :func:`expire_history` — the archive's file plan, streaming read, fold
+  and retention, all from the shared sidecar family (``sidecars.py``; the
+  commit record gates every file, so a crashed unit's orphan stays
+  invisible and is overwritten on replay);
 - :func:`scd2_view` — the SCD2 dimension derived DISTRIBUTEDLY from the
   archive alone: one bucket-keyed exchange on hash(repo, path), then a
   vectorized close-LSN shift inside each bucket (per-bucket Python, never
@@ -29,127 +30,17 @@ replay makes safe to maintain incrementally.
 
 from __future__ import annotations
 
-import glob
-import os
-import re
-
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..state import commitlog as cl
-from ..state.runfold import EpochCover, fold_partition_runs
+from .sidecars import HISTORY, concat_evolved
 
-HISTORY_DIR = "_history"
-COMPACT_DIR = "compacted"
-
-_HFILE_RE = re.compile(r"epoch=(\d+)[/\\]part=(\d+)\.parquet$")
-
-
-def _history_run_dir(lake_dir: str, part: int) -> str:
-    return os.path.join(lake_dir, HISTORY_DIR, COMPACT_DIR, cl.PART_FMT.format(part))
-
-
-def _compact_runs(lake_dir: str, part: int) -> list[tuple[int, str, dict]]:
-    """Compaction runs for one partition, seq-ascending: (seq, data_file,
-    marker) — the shared run-fold protocol (:mod:`..state.runfold`)."""
-    from ..state.runfold import list_runs
-
-    return list_runs(_history_run_dir(lake_dir, part))
-
-
-def history_files(lake_dir: str, as_of_epoch: int | None = None) -> list[str]:
-    """Committed history sidecar files, (epoch, part)-ascending, with any
-    compacted per-partition runs first.
-
-    A per-epoch file counts only if its (epoch, part) COMMIT record exists —
-    the same exactly-once gate the merge uses, so resumed/killed runs never
-    expose a half-written unit — and only if no compaction run already
-    covers it (covered originals may briefly linger on disk after a crash
-    mid-compaction; the marker's covered list keeps reads exactly-once).
-    ``as_of_epoch`` restricts to epochs ``<=`` it (the time-travel analog
-    for the archive); compacted runs that span NEWER epochs are excluded
-    and whatever originals remain are used instead — i.e. compaction trades
-    time-travel granularity for file count (same trade as ``vacuum`` /
-    ``compact_lake_states``): after a run folds epochs [0..E], as-of points
-    strictly inside that range are no longer reconstructable."""
-    covered: dict[int, EpochCover] = {}
-    compacted: list[str] = []
-    cdir = os.path.join(lake_dir, HISTORY_DIR, COMPACT_DIR)
-    if os.path.isdir(cdir):
-        for pdir in sorted(os.listdir(cdir)):
-            part = int(pdir.split("=")[1])
-            runs = _compact_runs(lake_dir, part)
-            if not runs:
-                continue
-            _, data_file, marker = runs[-1]
-            cov = EpochCover.from_marker(marker)
-            if as_of_epoch is not None and cov and cov.max() > as_of_epoch:
-                continue  # run spans past the as-of point; fall back to originals
-            covered[part] = cov
-            compacted.append(data_file)
-    out: list[tuple[int, int, str]] = []
-    for f in glob.glob(
-        os.path.join(lake_dir, HISTORY_DIR, "epoch=*", "part=*.parquet")
-    ):
-        m = _HFILE_RE.search(f)
-        if not m:
-            continue
-        epoch, part = int(m.group(1)), int(m.group(2))
-        if as_of_epoch is not None and epoch > as_of_epoch:
-            continue
-        if epoch in covered.get(part, ()):
-            continue
-        if cl.commit_exists(lake_dir, epoch, part):
-            out.append((epoch, part, f))
-    return compacted + [f for _, _, f in sorted(out)]
-
-
-def _concat_evolved(tables: list[pa.Table]) -> pa.Table:
-    """Concat archive tables that may span schema evolution: column ADD and
-    type WIDEN unify via the engine's own rules (Arrow's default promotion
-    refuses int32→int64 across files)."""
-    from functools import reduce
-
-    from ..schemas import conform_table, unify_schemas
-
-    if len(tables) == 1:
-        return tables[0]
-    target = reduce(unify_schemas, (t.schema for t in tables))
-    return pa.concat_tables(
-        [conform_table(t, target) for t in tables], promote_options="default"
-    )
-
-
-def _part_history_files(
-    lake_dir: str, part: int, as_of_epoch: int | None = None
-) -> list[str]:
-    """One partition's committed history files (compacted run first) —
-    the pruned-read unit :func:`lookup_key_history` needs."""
-    runs = _compact_runs(lake_dir, part)
-    covered: "EpochCover" = EpochCover([])
-    out: list[str] = []
-    if runs:
-        _, data_file, marker = runs[-1]
-        cov = EpochCover.from_marker(marker)
-        if as_of_epoch is None or not cov or cov.max() <= as_of_epoch:
-            covered = cov
-            out.append(data_file)
-    for f in glob.glob(
-        os.path.join(lake_dir, HISTORY_DIR, "epoch=*", cl.PART_FMT.format(part) + ".parquet")
-    ):
-        m = _HFILE_RE.search(f)
-        if m is None:
-            continue  # stray path (e.g. epoch=tmp/) — skip, don't crash
-        epoch = int(m.group(1))
-        if epoch in covered:
-            continue
-        if as_of_epoch is not None and epoch > as_of_epoch:
-            continue
-        if cl.commit_exists(lake_dir, epoch, part):
-            out.append(f)
-    return out
+history_files = HISTORY.files
+read_history = HISTORY.read_ds
+compact_history = HISTORY.compact
+expire_history = HISTORY.expire
 
 
 @ray.remote(num_cpus=1)
@@ -161,7 +52,7 @@ def _read_history_part(
 
     from ..stages.keys import key_strings
 
-    files = _part_history_files(lake_dir, part)
+    files = HISTORY.files(lake_dir, part=part)
     if not files:
         return pa.table({})
     repo_filter = pc.field("repo").isin(repos)
@@ -169,7 +60,7 @@ def _read_history_part(
         pads.dataset(f, format="parquet").to_table(filter=repo_filter)
         for f in files
     ]
-    tbl = _concat_evolved([t for t in tabs if t.num_rows] or tabs[:1])
+    tbl = concat_evolved([t for t in tabs if t.num_rows] or tabs[:1])
     if not tbl.num_rows:
         return tbl
     exact = pc.is_in(key_strings(tbl), value_set=pa.array(keyset, pa.string()))
@@ -212,7 +103,7 @@ def lookup_key_history(
     tabs = [t for t in ray.get(refs) if t.num_rows]
     if not tabs:
         return pa.table({})
-    out = _concat_evolved(tabs)
+    out = concat_evolved(tabs)
     # cross-epoch duplicate delivery tolerance: one row per (repo, path, lsn)
     from ..stages.keys import first_indices
 
@@ -308,125 +199,6 @@ def state_at_lsn(lake_dir: str, lsn: int, num_buckets: int = 64) -> ray.data.Dat
         .groupby("__bucket")
         .map_groups(last_version, batch_format="pyarrow")
     )
-
-
-def expire_history(lake_dir: str, before_epoch: int) -> dict[str, int]:
-    """Archive retention: drop history for epochs ``< before_epoch``.
-
-    Deletes per-epoch files below the cutoff and compacted runs whose
-    covered epochs are ALL below it; a run straddling the cutoff stays
-    intact (retention is approximate at run granularity — the same
-    granularity trade ``vacuum(keep_epochs=...)`` makes for state files).
-    Commit records are never touched (they are the lineage log). After
-    expiry, SCD2 chains start at the oldest retained version — by design:
-    retention IS history truncation."""
-    removed_files = removed_runs = 0
-    for f in glob.glob(
-        os.path.join(lake_dir, HISTORY_DIR, "epoch=*", "part=*.parquet")
-    ):
-        m = _HFILE_RE.search(f)
-        if m and int(m.group(1)) < before_epoch:
-            os.remove(f)
-            removed_files += 1
-    cdir = os.path.join(lake_dir, HISTORY_DIR, COMPACT_DIR)
-    if os.path.isdir(cdir):
-        for pdir in sorted(os.listdir(cdir)):
-            part = int(pdir.split("=")[1])
-            for seq, data_file, marker in _compact_runs(lake_dir, part):
-                cov = EpochCover.from_marker(marker)
-                if not cov or cov.max() < before_epoch:
-                    os.remove(data_file)
-                    os.remove(
-                        os.path.join(cdir, pdir, f"run-seq={seq:08d}.json")
-                    )
-                    removed_runs += 1
-    return {"files_removed": removed_files, "runs_removed": removed_runs}
-
-
-def _merge_history(tables: list[pa.Table]) -> pa.Table:
-    """Archive run merge semantics: evolved-schema concat, (repo, path, lsn) sort."""
-    merged = _concat_evolved(tables)
-    return merged.take(
-        pc.sort_indices(
-            merged,
-            sort_keys=[("repo", "ascending"), ("path", "ascending"), ("lsn", "ascending")],
-        )
-    )
-
-
-@ray.remote(num_cpus=1)
-def _compact_history_part(
-    lake_dir: str, part: int, epoch_files: list[tuple[int, str]], min_files: int
-) -> int:
-    return fold_partition_runs(
-        _history_run_dir(lake_dir, part), epoch_files, epoch_files, _merge_history,
-        min_files=min_files,
-    )
-
-
-def compact_history(lake_dir: str, min_files: int = 8) -> dict[str, int]:
-    """Fold a partition's per-epoch history files (plus any previous
-    compacted run) into ONE sorted run — the archive's file-count bound at
-    10^10 events (thousands of epochs × P partitions of tiny files
-    otherwise). One Ray task per partition. Crash safety (atomic
-    covered-epoch marker commit, one-generation GC grace for in-flight
-    readers, explicit coverage so out-of-order backfill epochs stay
-    readable) comes from the shared run-fold protocol
-    (:mod:`..state.runfold`); this function only supplies the archive's
-    merge semantics (evolved-schema concat + (repo, path, lsn) sort).
-    Refolding rewrites the WHOLE run, so folds are amortized: at least
-    ``min_files`` new epochs per fold (else a tailer folding every tick
-    goes quadratic in run size over time). `expire_history` also
-    cleans."""
-    by_part: dict[int, list[tuple[int, str]]] = {}
-    for f in glob.glob(
-        os.path.join(lake_dir, HISTORY_DIR, "epoch=*", "part=*.parquet")
-    ):
-        m = _HFILE_RE.search(f)
-        if not m:
-            continue
-        epoch, part = int(m.group(1)), int(m.group(2))
-        if cl.commit_exists(lake_dir, epoch, part):
-            by_part.setdefault(part, []).append((epoch, f))
-
-    # driver-side precheck mirrors _compact_history_part's amortization rule so a
-    # tailer folding every tick doesn't dispatch P no-op tasks per tick
-    todo: dict[int, list[tuple[int, str]]] = {}
-    for p, ef in by_part.items():
-        runs = _compact_runs(lake_dir, p)
-        covered = EpochCover.from_marker(runs[-1][2]) if runs else EpochCover([])
-        fresh_n = sum(1 for e, _ in ef if e not in covered)
-        if fresh_n >= (min_files if runs else max(min_files, 2)):
-            todo[p] = ef
-    folded = sum(ray.get([
-        _compact_history_part.remote(lake_dir, p, ef, min_files) for p, ef in todo.items()
-    ]))
-    return {"parts": len(todo), "files_folded": folded}
-
-
-def read_history(
-    lake_dir: str,
-    as_of_epoch: int | None = None,
-    columns: list[str] | None = None,
-) -> ray.data.Dataset:
-    """The change archive as a streaming Dataset (one block per sidecar
-    file; committed units only). Pass ``columns`` to prune the scan — also
-    the safe way to read a schema-evolved archive (early epochs lack
-    later-added columns; a pruned read of the stable base columns always
-    unifies)."""
-    files = history_files(lake_dir, as_of_epoch)
-    if not files:
-        return ray.data.from_arrow(pa.table({}))
-    # partitioning=None: the epoch=E directory layout is lineage bookkeeping,
-    # not a hive partition — inference would inject a string `epoch` column
-    # that compacted runs (flat layout) don't carry. Ray 2.49's parquet
-    # datasource crashes on columns= + partitioning=None together
-    # (parquet_datasource.py:828 UnboundLocalError), so pruned reads keep
-    # the default inference and rely on the explicit column list to exclude
-    # the stray column instead.
-    if columns is not None:
-        return ray.data.read_parquet(files, columns=columns)
-    return ray.data.read_parquet(files, partitioning=None)
 
 
 def scd2_view(

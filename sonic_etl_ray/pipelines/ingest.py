@@ -63,6 +63,7 @@ from ..stages.transform import (
 )
 from ..config import parquet_write_kwargs
 from ..state import commitlog as cl
+from . import sidecars
 
 log = logging.getLogger(__name__)
 
@@ -514,22 +515,10 @@ class MergeApplier:
             # exact dedupe within the unit (at-least-once delivery inside an
             # epoch) + canonical order, then atomic publish — the inline
             # analog of the reference's daily MERGE on the events table
-            decoded = decoded.group_by(decoded.column_names).aggregate([])
-            decoded = decoded.take(
-                pc.sort_indices(
-                    decoded,
-                    sort_keys=[("lsn", "ascending"), ("event_name", "ascending"), ("line_no", "ascending")],
-                )
-            )
-            # default table keeps the original flat layout; named tables
-            # nest under table=<name>/
-            sub = [] if tname == TABLE_DECODED else [f"table={tname}"]
+            fam = sidecars.decoded(tname)
+            decoded = fam.merge([decoded])
             decoded_files[tname] = _publish(  # the commit record gates it
-                decoded,
-                os.path.join(
-                    lake, "_decoded", *sub, cl.EPOCH_FMT.format(epoch),
-                    cl.PART_FMT.format(part) + ".parquet",
-                ),
+                decoded, fam.epoch_path(lake, epoch, part)
             )
             n_decoded += decoded.num_rows
         decoded_file = decoded_files.get(TABLE_DECODED)
@@ -544,10 +533,7 @@ class MergeApplier:
                 drop = [c for c in (PART_COLUMN, W_COLUMN) if c in errors.column_names]
                 _publish(
                     errors.drop_columns(drop),
-                    os.path.join(
-                        lake, "_errors", cl.EPOCH_FMT.format(epoch),
-                        cl.PART_FMT.format(part) + ".parquet",
-                    ),
+                    sidecars.ERRORS.epoch_path(lake, epoch, part),
                 )
             group = group.filter(pc.invert(err_mask)).drop_columns([ERROR_COLUMN])
 
@@ -588,11 +574,7 @@ class MergeApplier:
             versions = _history_versions(group)
             if versions.num_rows:
                 record["history_file"] = _publish(  # the commit record gates it
-                    versions,
-                    os.path.join(
-                        lake, "_history", cl.EPOCH_FMT.format(epoch),
-                        cl.PART_FMT.format(part) + ".parquet",
-                    ),
+                    versions, sidecars.HISTORY.epoch_path(lake, epoch, part)
                 )
                 record["n_history_rows"] = versions.num_rows
 
@@ -2434,180 +2416,6 @@ def repo_stats_view(lake_dir: str) -> pa.Table:
     return out.take(pc.sort_indices(out, sort_keys=[("repo", "ascending")]))
 
 
-def decoded_tables(lake_dir: str) -> list[str]:
-    """Names of the decoded fan-out tables present in the lake (the default
-    table plus any named EventSpec.table routes)."""
-    from ..stages.decode import TABLE_DECODED
-
-    root = os.path.join(lake_dir, "_decoded")
-    out = []
-    if os.path.isdir(root):
-        for name in sorted(os.listdir(root)):
-            if name.startswith("table="):
-                out.append(name.split("=", 1)[1])
-            elif name.startswith("epoch=") or name == "runs":
-                # a fully-compacted table may exist only as runs/ (GC can
-                # remove every per-epoch file)
-                if TABLE_DECODED not in out:
-                    out.insert(0, TABLE_DECODED)
-    return out
-
-
-def _decoded_root(lake_dir: str, table: str | None) -> str:
-    from ..stages.decode import TABLE_DECODED
-
-    sub = [] if table in (None, TABLE_DECODED) else [f"table={table}"]
-    return os.path.join(lake_dir, "_decoded", *sub)
-
-
-def _decoded_run_dir(lake_dir: str, table: str | None, part: int) -> str:
-    return os.path.join(_decoded_root(lake_dir, table), "runs", cl.PART_FMT.format(part))
-
-
-def _decoded_runs(lake_dir: str, table: str | None, part: int) -> list[tuple[int, str, dict]]:
-    """Decoded compaction runs for one partition, seq-ascending: (seq,
-    data_file, marker) — the shared run-fold protocol
-    (:mod:`..state.runfold`)."""
-    from ..state.runfold import list_runs
-
-    return list_runs(_decoded_run_dir(lake_dir, table, part))
-
-
-def _decoded_file_plan(
-    lake_dir: str, table: str | None
-) -> tuple[list[str], dict[int, list[tuple[int, str]]]]:
-    """(run_files, fresh) for a decoded table: each partition's NEWEST run
-    plus the committed per-epoch files its run does not cover (shared
-    covered-epoch bookkeeping, :func:`..state.runfold.plan_runs`; the
-    commit-record visibility gate is this family's semantics)."""
-    import glob as _glob
-
-    from ..state.runfold import plan_runs
-
-    committed = []
-    for f in sorted(
-        _glob.glob(os.path.join(_decoded_root(lake_dir, table), "epoch=*", "part=*.parquet"))
-    ):
-        epoch = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-        part = int(os.path.basename(f)[: -len(".parquet")].split("=")[1])
-        if cl.is_committed(lake_dir, epoch, part):  # orphans of crashed units
-            committed.append((epoch, part, f))
-    return plan_runs(os.path.join(_decoded_root(lake_dir, table), "runs"), committed)
-
-
-_DECODED_SORT = [("lsn", "ascending"), ("event_name", "ascending"), ("line_no", "ascending")]
-
-
-def read_decoded(lake_dir: str, table: str | None = None) -> pa.Table:
-    """A decoded fan-out table (``table=None`` → the default) as one Arrow
-    table: per-partition compaction runs plus committed (epoch, partition)
-    files the runs don't cover, exact-deduped by full row — the at-read
-    analog of the reference's daily MERGE on the events table (an lsn
-    replayed across DIFFERENT epochs writes two identical rows in two
-    units; within a unit the applier already deduped; across a run and a
-    fresh file the replay can also straddle the fold). Sorted by
-    (lsn, event_name, line_no). Driver-side materialization — for results
-    that fit; at scale use :func:`read_decoded_ds` (streaming Dataset)
-    after :func:`compact_decoded` bounds the file count."""
-    from ..stages.decode import DECODED_SCHEMA
-
-    run_files, fresh = _decoded_file_plan(lake_dir, table)
-    files = run_files + [f for per in fresh.values() for _, f in per]
-    if not files:
-        return DECODED_SCHEMA.empty_table()
-    tbl = pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
-    tbl = tbl.group_by(tbl.column_names).aggregate([])
-    return tbl.take(pc.sort_indices(tbl, sort_keys=_DECODED_SORT))
-
-
-def read_decoded_ds(lake_dir: str, table: str | None = None) -> ray.data.Dataset:
-    """Streaming Dataset over a decoded fan-out table — the scale path.
-
-    Reads each partition's newest compaction run plus uncovered committed
-    epoch files. Duplicates exist only when an lsn replayed across epochs
-    AFTER the last fold (runs are deduped at fold time; a decoded row's
-    partition is its key hash, so dupes never straddle partitions): in
-    that case one distributed FULL-ROW groupby collapses them — the same
-    dedup :func:`read_decoded` applies, so the two readers always agree
-    (rows that share the lsn triple but differ in payload, e.g. decoded
-    under a changed catalog, are preserved by both). With no fresh files
-    the read is zero-shuffle."""
-    from ray.data.aggregate import Count
-
-    from ..stages.decode import DECODED_SCHEMA
-
-    run_files, fresh = _decoded_file_plan(lake_dir, table)
-    files = run_files + [f for per in fresh.values() for _, f in per]
-    if not files:
-        return ray.data.from_arrow(DECODED_SCHEMA.empty_table())
-    ds = ray.data.read_parquet(files, partitioning=None)
-    if not fresh:
-        return ds
-    names = list(ds.schema().names)
-    ds = ds.groupby(names).aggregate(Count(alias_name="\x00c")).drop_columns(["\x00c"])
-    return ds.select_columns(names)
-
-
-def _merge_decoded(tables: list[pa.Table]) -> pa.Table:
-    """Decoded run merge semantics: full-row dedup + LSN sort."""
-    merged = pa.concat_tables(tables, promote_options="default")
-    merged = merged.group_by(merged.column_names).aggregate([])
-    return merged.take(pc.sort_indices(merged, sort_keys=_DECODED_SORT))
-
-
-@ray.remote(num_cpus=1)
-def _compact_decoded_part(
-    lake_dir: str, table: str | None, part: int,
-    epoch_files: list[tuple[int, str]], min_files: int,
-) -> int:
-    import glob as _glob
-
-    from ..state.runfold import fold_partition_runs
-
-    originals = [
-        (int(os.path.basename(os.path.dirname(f)).split("=")[1]), f)
-        for f in _glob.glob(
-            os.path.join(
-                _decoded_root(lake_dir, table), "epoch=*", cl.PART_FMT.format(part) + ".parquet"
-            )
-        )
-    ]
-    return fold_partition_runs(
-        _decoded_run_dir(lake_dir, table, part),
-        epoch_files,
-        originals,
-        _merge_decoded,
-        min_files=min_files,
-    )
-
-
-def compact_decoded(
-    lake_dir: str, table: str | None = None, min_files: int = 8
-) -> dict[str, int]:
-    """Fold a decoded table's per-(epoch, partition) sidecar files into ONE
-    deduped, sorted run per partition — the decoded fan-out's file-count
-    bound at 10^10 events (the reference's daily MERGE dedupe on the
-    events table, ``daily_qc_airflow/daily_dedupe_mainnet.py:49-57``,
-    re-expressed as a materialized compaction instead of an at-read
-    GROUP BY). Crash safety comes from the shared run-fold protocol
-    (:mod:`..state.runfold` — atomic covered-epoch marker commit,
-    one-generation GC grace for in-flight readers); this function only
-    supplies the decoded merge semantics (full-row dedup + LSN sort).
-    Out-of-order epochs committed after a fold stay readable — coverage is
-    an explicit epoch list, never a threshold."""
-    from ..state.runfold import parts_to_fold
-
-    _, fresh = _decoded_file_plan(lake_dir, table)
-    todo = parts_to_fold(
-        os.path.join(_decoded_root(lake_dir, table), "runs"), fresh, min_files
-    )
-    folded = sum(ray.get([
-        _compact_decoded_part.remote(lake_dir, table, p, ef, min_files)
-        for p, ef in todo.items()
-    ]))
-    return {"parts": len(todo), "files_folded": folded}
-
-
 def replay_errors(
     lake_dir: str,
     fix_fn: Any | None = None,
@@ -2635,14 +2443,7 @@ def replay_errors(
     live ingest: replayed rows merge at their ORIGINAL LSNs, so they lose
     per-key races against newer updates and win only where they were the
     newest write — exactly the semantics of a late backfill."""
-    import glob as _glob
-
-    pending = []
-    for f in sorted(_glob.glob(os.path.join(lake_dir, "_errors", "epoch=*", "part=*.parquet"))):
-        epoch = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-        part = int(os.path.basename(f)[: -len(".parquet")].split("=")[1])
-        if cl.is_committed(lake_dir, epoch, part) and not os.path.exists(f + ".REPLAYED"):
-            pending.append(f)
+    pending = sidecars.ERRORS.files(lake_dir, pending_only=True)
     if not pending:
         return {"replayed_rows": 0, "files": 0, "repair_epoch": None}
     rel = [os.path.relpath(f, lake_dir) for f in pending]
@@ -2674,107 +2475,12 @@ def replay_errors(
             input_desc={"replayed_errors": rel, "segments": rel},
         )
     for f in pending:  # markers AFTER the manifest: crash-safe bookkeeping
-        _mtmp = f"{f}.REPLAYED.tmp.{uuid.uuid4().hex[:8]}"
+        marker = f + sidecars.ERRORS.retired_suffix
+        _mtmp = f"{marker}.tmp.{uuid.uuid4().hex[:8]}"
         with open(_mtmp, "w") as fh:
             fh.write(str(rep_epoch))
-        os.rename(_mtmp, f + ".REPLAYED")
+        os.rename(_mtmp, marker)
     return {"replayed_rows": n_rows, "files": len(pending), "repair_epoch": rep_epoch}
-
-
-def _error_file_plan(lake_dir: str) -> tuple[list[str], dict[int, list[tuple[int, str]]]]:
-    """(run_files, uncovered epoch files by partition) for the error
-    channel — newest audit run per partition plus the committed per-epoch
-    files it does not cover (pending AND not-yet-folded replayed files).
-    The commit record gates visibility: a crashed unit's orphan file must
-    not surface as pending backlog replay_errors would refuse, and a
-    retried epoch overwrites it."""
-    import glob as _glob
-
-    from ..state.runfold import plan_runs
-
-    committed = []
-    for f in sorted(_glob.glob(os.path.join(lake_dir, "_errors", "epoch=*", "part=*.parquet"))):
-        epoch = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-        part = int(os.path.basename(f)[: -len(".parquet")].split("=")[1])
-        if cl.is_committed(lake_dir, epoch, part):
-            committed.append((epoch, part, f))
-    return plan_runs(os.path.join(lake_dir, "_errors", "runs"), committed)
-
-
-def read_errors(lake_dir: str, pending_only: bool = False) -> pa.Table:
-    """All diverted error rows across epochs/partitions (the typed error
-    channel readback; empty table when no errors were routed).
-    ``pending_only`` skips rows already re-ingested by
-    :func:`replay_errors` — audit runs (:func:`compact_errors`) hold only
-    replayed rows, so the pending view never reads them."""
-    run_files, fresh = _error_file_plan(lake_dir)
-    files = [f for per in fresh.values() for _, f in per]
-    if pending_only:
-        files = [f for f in files if not os.path.exists(f + ".REPLAYED")]
-    else:
-        files = run_files + files
-    if not files:
-        return pa.table({})
-    return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
-
-
-def _merge_errors(tables: list[pa.Table]) -> pa.Table:
-    """Error audit run merge semantics: concat, LSN sort."""
-    merged = pa.concat_tables(tables, promote_options="default")
-    if "lsn" in merged.column_names:
-        merged = merged.take(pc.sort_indices(merged, sort_keys=[("lsn", "ascending")]))
-    return merged
-
-
-@ray.remote(num_cpus=1)
-def _compact_errors_part(
-    lake_dir: str, part: int, epoch_files: list[tuple[int, str]], min_files: int
-) -> int:
-    import glob as _glob
-
-    from ..state.runfold import fold_partition_runs
-
-    # originals = ALL of this partition's epoch files (covered ones
-    # included — the one-generation GC sweeps exactly those), each with
-    # its .REPLAYED marker so markers die with their files
-    all_files = _glob.glob(
-        os.path.join(lake_dir, "_errors", "epoch=*", cl.PART_FMT.format(part) + ".parquet")
-    )
-    originals = [
-        pair
-        for f in all_files
-        for e in (int(os.path.basename(os.path.dirname(f)).split("=")[1]),)
-        for pair in ((e, f), (e, f + ".REPLAYED"))
-    ]
-    return fold_partition_runs(
-        os.path.join(lake_dir, "_errors", "runs", cl.PART_FMT.format(part)),
-        epoch_files,
-        originals,
-        _merge_errors,
-        min_files=min_files,
-    )
-
-
-def compact_errors(lake_dir: str, min_files: int = 8) -> dict[str, int]:
-    """Fold RETIRED error files (those :func:`replay_errors` marked
-    ``.REPLAYED``) into one audit run per partition via the shared
-    run-fold protocol (:mod:`..state.runfold`) — the dead-letter channel's
-    file-count bound. Pending files are never folded: replay bookkeeping
-    stays file-grained, so :func:`replay_errors` and the pending view are
-    untouched. The fold sweeps each covered file's ``.REPLAYED`` marker
-    alongside it (one-generation grace, like every other run family)."""
-    from ..state.runfold import parts_to_fold
-
-    _, fresh = _error_file_plan(lake_dir)
-    retired = {
-        p: [(e, f) for e, f in per if os.path.exists(f + ".REPLAYED")]
-        for p, per in fresh.items()
-    }
-    todo = parts_to_fold(os.path.join(lake_dir, "_errors", "runs"), retired, min_files)
-    folded = sum(ray.get([
-        _compact_errors_part.remote(lake_dir, p, ef, min_files) for p, ef in todo.items()
-    ]))
-    return {"parts": len(todo), "files_folded": folded}
 
 
 def scratch_lake_dir(tag: str = "lake") -> str:
@@ -2890,55 +2596,6 @@ def clone_lake(
         if token is not None:
             cl.release_writer_lease(src_dir, token)
     return {"files_linked": linked, "files_copied": copied, "bytes": nbytes}
-
-
-def expire_decoded(
-    lake_dir: str, before_epoch: int, table: str | None = None
-) -> dict[str, int]:
-    """Decoded-table retention: drop decoded rows for epochs
-    ``< before_epoch`` — per-epoch files below the cutoff and runs whose
-    covered epochs are all below it (straddling runs stay; same
-    granularity trade as :func:`history.expire_history`). Commit records
-    are untouched."""
-    import glob as _glob
-
-    from ..state.runfold import expire_runs
-
-    removed_files = 0
-    for f in _glob.glob(
-        os.path.join(_decoded_root(lake_dir, table), "epoch=*", "part=*.parquet")
-    ):
-        if int(os.path.basename(os.path.dirname(f)).split("=")[1]) < before_epoch:
-            os.remove(f)
-            removed_files += 1
-    removed_runs = expire_runs(
-        os.path.join(_decoded_root(lake_dir, table), "runs"), before_epoch
-    )
-    return {"files_removed": removed_files, "runs_removed": removed_runs}
-
-
-def expire_errors(lake_dir: str, before_epoch: int) -> dict[str, int]:
-    """Dead-letter retention: drop error rows for epochs ``< before_epoch``
-    — per-epoch files (with their ``.REPLAYED`` markers) below the cutoff
-    and audit runs entirely below it. Pending (un-replayed) files below
-    the cutoff ARE removed: retention is an explicit operator decision to
-    abandon that backlog, mirroring :func:`history.expire_history`'s
-    truncation semantics."""
-    import glob as _glob
-
-    from ..state.runfold import expire_runs
-
-    removed_files = 0
-    for f in _glob.glob(os.path.join(lake_dir, "_errors", "epoch=*", "part=*.parquet")):
-        if int(os.path.basename(os.path.dirname(f)).split("=")[1]) < before_epoch:
-            for p in (f, f + ".REPLAYED"):
-                try:
-                    os.remove(p)
-                except FileNotFoundError:
-                    pass
-            removed_files += 1
-    removed_runs = expire_runs(os.path.join(lake_dir, "_errors", "runs"), before_epoch)
-    return {"files_removed": removed_files, "runs_removed": removed_runs}
 
 
 class FeedConsumer:

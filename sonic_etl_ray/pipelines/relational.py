@@ -22,6 +22,15 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 from sonic_etl_ray.stages.joins import safe_join
 
 
+def _cents(expr: pa.ChunkedArray | pa.Array, scale: float = 100.0) -> pa.Array:
+    """``expr · scale`` as int64, rounded half away from zero like the
+    DuckDB oracles' ``ROUND`` (Arrow's default rounds half to even)."""
+    return pc.cast(
+        pc.round(pc.multiply(expr, pa.scalar(scale)), round_mode="half_towards_infinity"),
+        pa.int64(),
+    )
+
+
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
@@ -43,9 +52,6 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     def derive(t: pa.Table) -> pa.Table:
         t = t.filter(pc.less_equal(t["l_shipdate"], pa.scalar(pd.Timestamp("1998-09-01"))))
 
-        def cents(expr: pa.ChunkedArray | pa.Array, scale: float) -> pa.Array:
-            return pc.cast(pc.round(pc.multiply(expr, pa.scalar(scale))), pa.int64())
-
         one_minus_d = pc.subtract(pa.scalar(1.0), t["l_discount"])
         disc = pc.multiply(t["l_extendedprice"], one_minus_d)
         charge = pc.multiply(disc, pc.add(pa.scalar(1.0), t["l_tax"]))
@@ -53,11 +59,11 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
             {
                 "l_returnflag": t["l_returnflag"],
                 "l_linestatus": t["l_linestatus"],
-                "qty_c": cents(t["l_quantity"], 1e2),
-                "price_c": cents(t["l_extendedprice"], 1e2),
-                "disc_c": cents(t["l_discount"], 1e2),
-                "disc_price_c": cents(disc, 1e4),  # 2+2 decimal digits
-                "charge_c": cents(charge, 1e6),  # 2+2+2 decimal digits
+                "qty_c": _cents(t["l_quantity"], 1e2),
+                "price_c": _cents(t["l_extendedprice"], 1e2),
+                "disc_c": _cents(t["l_discount"], 1e2),
+                "disc_price_c": _cents(disc, 1e4),  # 2+2 decimal digits
+                "charge_c": _cents(charge, 1e6),  # 2+2+2 decimal digits
             }
         )
 
@@ -938,7 +944,7 @@ def sliding_user_window(
                       86_400_000_000),
             pa.int64(),
         )
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0)), pa.int64())
+        cents = _cents(t["value"])
         t2 = pa.table({"user_id": t["user_id"], "day": day, "cents": cents})
         part = t2.group_by(["user_id", "day"]).aggregate([("cents", "sum")])
         return part.rename_columns(["user_id", "day", "day_cents"])
@@ -1089,7 +1095,7 @@ def churned_customers(sf_dir: str, since: str = "2000-01-01") -> pd.DataFrame:
     if okeys.count() == 0:  # nobody active since the cutoff: all churned
 
         def project_all(t: pa.Table) -> pa.Table:
-            cents = pc.cast(pc.round(pc.multiply(t["c_acctbal"], 100.0)), pa.int64())
+            cents = _cents(t["c_acctbal"])
             return pa.table(
                 {
                     "c_custkey": t["c_custkey"],
@@ -1107,7 +1113,7 @@ def churned_customers(sf_dir: str, since: str = "2000-01-01") -> pd.DataFrame:
 
     def keep_unmatched(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_null(t["m"]))
-        cents = pc.cast(pc.round(pc.multiply(t["c_acctbal"], 100.0)), pa.int64())
+        cents = _cents(t["c_acctbal"])
         return pa.table(
             {
                 "c_custkey": t["c_custkey"],
@@ -1233,7 +1239,7 @@ def orders_above_customer_avg(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority", "o_totalprice"])
 
     def to_cents(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)), pa.int64())
+        cents = _cents(t["o_totalprice"])
         return pa.table(
             {
                 "o_custkey": t["o_custkey"],

@@ -194,20 +194,17 @@ class Tailer:
             from .ingest import compact_lake_states
 
             compact_lake_states(self.lake_dir)
-            if self.track_history:
-                from .history import compact_history
+            from .sidecars import HISTORY, decoded, decoded_tables
 
-                compact_history(self.lake_dir)
+            if self.track_history:
+                HISTORY.compact(self.lake_dir)
             if self.decode_catalog is not None:
                 # fold decoded fan-out sidecars on the same cadence; the
                 # fold threshold follows the cadence (the tick already
-                # amortizes), not compact_decoded's standalone default
-                from .ingest import compact_decoded, decoded_tables
-
+                # amortizes), not the standalone default
                 for t in decoded_tables(self.lake_dir):
-                    compact_decoded(
-                        self.lake_dir, table=t,
-                        min_files=max(2, self.compact_states_every),
+                    decoded(t).compact(
+                        self.lake_dir, min_files=max(2, self.compact_states_every)
                     )
             self._applied_since_state_compact = 0
         for mon in self.monitors:

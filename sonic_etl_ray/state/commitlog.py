@@ -224,6 +224,11 @@ def latest_file(
 
 
 def is_committed(lake_dir: str, epoch: int, part: int) -> bool:
+    """O(1) commit-gate check that survives checkpoint compaction: the live
+    JSON file OR the (mtime-cached) checkpoint's records map. Readers
+    gating data files on a commit (e.g. the sidecar families) MUST use
+    this, not a raw ``commit_path`` existence check — ``compact_commits``
+    deletes the rolled-up files."""
     if os.path.exists(commit_path(lake_dir, epoch, part)):
         return True
     cp = read_checkpoint(lake_dir)
@@ -245,16 +250,6 @@ def write_commit(lake_dir: str, record: dict[str, Any]) -> None:
         commit_path(lake_dir, epoch, part),
         json.dumps(record, sort_keys=True).encode(),
     )
-
-
-def commit_exists(lake_dir: str, epoch: int, part: int) -> bool:
-    """O(1) commit-gate check that survives checkpoint compaction: the live
-    JSON file OR the (mtime-cached) checkpoint's records map. Readers
-    gating data files on a commit (e.g. the history archive) MUST use this,
-    not a raw ``commit_path`` existence check — ``compact_commits`` deletes
-    the rolled-up files. Alias of :func:`is_committed` (one gate, one
-    implementation)."""
-    return is_committed(lake_dir, epoch, part)
 
 
 def read_commit(lake_dir: str, epoch: int, part: int) -> dict[str, Any] | None:

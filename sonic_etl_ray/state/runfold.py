@@ -1,10 +1,10 @@
 """Shared crash-safe run-compaction protocol.
 
-Both sidecar families — the history archive (``pipelines/history.py``) and
-the decoded fan-out tables (``pipelines/ingest.py``) — accumulate one
-immutable file per (epoch, partition) and periodically fold a partition's
-files into ONE consolidated run. The fold protocol is identical and
-crash-safety-critical, so it lives here once:
+Every sidecar family (``pipelines/sidecars.py``: decoded fan-out tables,
+routed errors, the history archive) accumulates one immutable file per
+(epoch, partition) and periodically folds a partition's files into ONE
+consolidated run. The fold protocol is crash-safety-critical, so it lives
+here once:
 
 1. read the previous run (if any) plus the fresh epoch files and merge
    them (the caller supplies the merge: sort keys, dedup, schema unify);
@@ -173,51 +173,6 @@ def fold_partition_runs(
             except FileNotFoundError:
                 pass
     return len(todo)
-
-
-def plan_runs(
-    runs_root: str, epoch_files: list[tuple[int, int, str]]
-) -> tuple[list[str], dict[int, list[tuple[int, str]]]]:
-    """Read plan for a run family: each partition's NEWEST run data file
-    plus the (epoch, path) files its covered list does not include.
-    ``epoch_files`` is the caller's committed (epoch, part, path) list —
-    visibility gating (commit records, replay markers) is the caller's
-    semantics, the covered-epoch bookkeeping is shared here."""
-    run_files: list[str] = []
-    covered: dict[int, EpochCover] = {}
-    if os.path.isdir(runs_root):
-        for name in os.listdir(runs_root):
-            if not name.startswith("part="):
-                continue
-            runs = list_runs(os.path.join(runs_root, name))
-            if runs:
-                run_files.append(runs[-1][1])
-                covered[int(name.split("=", 1)[1])] = EpochCover.from_marker(runs[-1][2])
-    fresh: dict[int, list[tuple[int, str]]] = {}
-    for epoch, part, path in epoch_files:
-        if epoch not in covered.get(part, ()):
-            fresh.setdefault(part, []).append((epoch, path))
-    return run_files, fresh
-
-
-def parts_to_fold(
-    runs_root: str, fresh: dict[int, list[tuple[int, str]]], min_files: int
-) -> dict[int, list[tuple[int, str]]]:
-    """Driver-side mirror of :func:`fold_partition_runs`'s amortization
-    gate, so a caller folding on a cadence never dispatches per-partition
-    no-op tasks."""
-    from .commitlog import PART_FMT
-
-    return {
-        p: ef
-        for p, ef in fresh.items()
-        if len(ef)
-        >= (
-            min_files
-            if list_runs(os.path.join(runs_root, PART_FMT.format(p)))
-            else max(min_files, 2)
-        )
-    }
 
 
 def expire_runs(runs_root: str, before_epoch: int) -> int:

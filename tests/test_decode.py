@@ -21,11 +21,10 @@ import ray.data
 from sonic_etl_ray.pipelines.ingest import (
     apply_epoch,
     lake_final_table,
-    read_decoded,
-    read_errors,
     run_ingest,
     scratch_lake_dir,
 )
+from sonic_etl_ray.pipelines.sidecars import read_decoded, read_errors
 from sonic_etl_ray.stages.decode import DecodeCatalog, EventSpec
 from sonic_etl_ray.stages.transform import MalformedEventError
 
@@ -142,12 +141,8 @@ def test_n_table_fanout_routes_and_reads_back(tmp_path):
     import ray.data
 
     from sonic_etl_ray.generator import StreamSpec, generate_stream
-    from sonic_etl_ray.pipelines.ingest import (
-        decoded_tables,
-        read_decoded,
-        run_ingest,
-        scratch_lake_dir,
-    )
+    from sonic_etl_ray.pipelines.ingest import run_ingest, scratch_lake_dir
+    from sonic_etl_ray.pipelines.sidecars import decoded_tables, read_decoded
     from sonic_etl_ray.stages.decode import DecodeCatalog, EventSpec
 
     seg = str(tmp_path / "segs")
@@ -198,7 +193,7 @@ def test_compact_decoded_fold_dedup_and_streaming_read(tmp_path):
     read_decoded is bit-identical before/after, the second fold sweeps the
     first fold's originals (one-generation GC grace), a cross-epoch lsn
     replay dedupes, and read_decoded_ds matches the driver-side table."""
-    from sonic_etl_ray.pipelines.ingest import compact_decoded, read_decoded_ds
+    from sonic_etl_ray.pipelines.sidecars import compact_decoded, read_decoded_ds
 
     lake = str(tmp_path / "lake")
     # epochs 0-3: fresh rows; epoch 2 replays epoch 1's lsn 10 (dup rows)
@@ -256,7 +251,7 @@ def test_tailer_decodes_and_folds(tmp_path):
     epoch and folds them on the state-compaction cadence."""
     import pyarrow.parquet as pq_
 
-    from sonic_etl_ray.pipelines.ingest import read_decoded
+    from sonic_etl_ray.pipelines.sidecars import read_decoded
     from sonic_etl_ray.pipelines.tail import Tailer
 
     seg_dir = str(tmp_path / "segs")
@@ -286,7 +281,7 @@ def test_expire_decoded_epoch_cutoff(tmp_path):
     """Retention drops epoch files and fully-below-cutoff runs; straddling
     runs stay intact (approximate at run granularity, like the history
     archive's expiry)."""
-    from sonic_etl_ray.pipelines.ingest import compact_decoded, expire_decoded, read_decoded
+    from sonic_etl_ray.pipelines.sidecars import compact_decoded, expire_decoded, read_decoded
 
     lake = str(tmp_path / "lake")
     for e in range(4):

@@ -12,10 +12,10 @@ from sonic_etl_ray.generator import StreamSpec, generate_events, write_segments
 from sonic_etl_ray.oracle import assert_state_equal, oracle_final_state
 from sonic_etl_ray.pipelines.ingest import (
     lake_final_table,
-    read_errors,
     run_ingest,
     scratch_lake_dir,
 )
+from sonic_etl_ray.pipelines.sidecars import read_errors
 from sonic_etl_ray.stages.transform import MalformedEventError
 
 
@@ -205,7 +205,8 @@ def test_compact_errors_folds_replayed_only(tmp_path):
 
     import pyarrow.compute as pc
 
-    from sonic_etl_ray.pipelines.ingest import compact_errors, replay_errors
+    from sonic_etl_ray.pipelines.ingest import replay_errors
+    from sonic_etl_ray.pipelines.sidecars import compact_errors
 
     spec = StreamSpec(n_events=3000, n_repos=8, seed=59, segment_size=250)
     original = generate_events(spec)
@@ -304,3 +305,48 @@ def test_orphan_error_file_invisible(tmp_path):
     _shutil.copy(real, os.path.join(orphan_dir, os.path.basename(real)))
     assert read_errors(lake).num_rows == committed
     assert read_errors(lake, pending_only=True).num_rows == committed
+
+
+def test_errors_read_and_fold_across_widened_schema(tmp_path):
+    """Errors routed on both sides of a column add and an int32→int64
+    widening (``size_hint``) read back as ONE table under the engine's
+    widening rules, equal to the routed rows, and fold into audit runs
+    without changing what reads see."""
+    import glob as _glob
+
+    import pyarrow.compute as pc
+
+    from sonic_etl_ray.pipelines.sidecars import compact_errors
+
+    spec = StreamSpec(
+        n_events=6000, n_repos=10, seed=9, segment_size=500, evolve_at=(2000, 4000)
+    )
+    table, files = _write_corrupted(tmp_path, spec)
+    lake = scratch_lake_dir("dlqwiden")
+    run_ingest(files, lake, num_partitions=4, segments_per_epoch=3, on_error="route")
+
+    errs = read_errors(lake)
+    assert errs.schema.field("size_hint").type == pa.int64()
+    routed = table.take(pa.array(range(0, table.num_rows, 50)))
+    got = errs.select(routed.column_names)
+    assert got.sort_by("lsn").equals(routed.sort_by("lsn"))
+    assert set(errs.column("__error").to_pylist()) == {"unknown_op", "delete_with_content"}
+
+    # the lake holds exactly the oracle's state over the rows not routed
+    valid_files = []
+    for i, f in enumerate(files):
+        t = pq.read_table(f)
+        keep = pc.invert(pc.is_in(t["lsn"], value_set=routed["lsn"].combine_chunks()))
+        valid_files.append(str(tmp_path / f"valid_{i}.parquet"))
+        pq.write_table(t.filter(keep), valid_files[-1])
+    assert_state_equal(lake_final_table(lake), oracle_final_state(valid_files))
+
+    # retire every file (as replay_errors does after its repair manifest),
+    # then fold: the run spans both schemas and reads back unchanged
+    for f in _glob.glob(f"{lake}/_errors/epoch=*/part=*.parquet"):
+        with open(f + ".REPLAYED", "w") as fh:
+            fh.write("0")
+    r = compact_errors(lake, min_files=2)
+    assert r["parts"] == 4 and r["files_folded"] >= 2
+    assert read_errors(lake).equals(errs)
+    assert read_errors(lake, pending_only=True).num_rows == 0

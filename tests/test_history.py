@@ -273,6 +273,65 @@ def test_expire_history_retention(stream):
     assert read_history(lake).count() == 0
 
 
+def test_expire_history_crash_leaves_no_stale_coverage(stream, monkeypatch):
+    """Expiry removes a run's marker BEFORE its data file. A crash between
+    the two then leaves an orphan data file, which nothing reads. In the
+    reverse order it leaves an orphan marker: the next fold of that
+    partition reuses the seq's data filename, and a crash before the fold's
+    own marker rename re-validates the orphan's stale coverage, so reads
+    count the fresh epochs twice (once in the run, once as files)."""
+    import re
+
+    import pyarrow as pa
+
+    from sonic_etl_ray.pipelines.history import compact_history, expire_history
+    from sonic_etl_ray.state import commitlog as cl
+    from sonic_etl_ray.state.runfold import fold_partition_runs
+
+    lake = scratch_lake_dir("histexpcrash")
+    run_ingest(stream[:6], lake, num_partitions=1, segments_per_epoch=3, track_history=True)
+    assert compact_history(lake, min_files=2)["files_folded"] == 2  # run covers epochs 0-1
+    run_ingest(stream, lake, num_partitions=1, segments_per_epoch=3, track_history=True)
+    run_dir = os.path.join(lake, "_history", "compacted", "part=00000")
+
+    real_remove, run_removals = os.remove, []
+
+    def crash_after_first_run_removal(path):
+        if os.path.dirname(path) == run_dir:
+            if run_removals:
+                raise OSError("crash inside expiry")
+            run_removals.append(path)
+        real_remove(path)
+
+    monkeypatch.setattr(os, "remove", crash_after_first_run_removal)
+    with pytest.raises(OSError, match="crash inside expiry"):
+        expire_history(lake, before_epoch=2)
+    monkeypatch.undo()
+
+    # the next fold crashes between its data rename and its marker rename;
+    # fold tasks run in Ray workers, out of a monkeypatch's reach, so the
+    # fold runs here through the same protocol function
+    fresh = [(int(re.search(r"epoch=(\d+)", f).group(1)), f) for f in history_files(lake)]
+    assert sorted(e for e, _ in fresh) == [2, 3]
+    real_rename = os.rename
+
+    def crash_before_marker(src, dst):
+        if os.path.dirname(dst) == run_dir and dst.endswith(".json"):
+            raise OSError("crash before the marker rename")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", crash_before_marker)
+    with pytest.raises(OSError, match="crash before the marker rename"):
+        fold_partition_runs(run_dir, fresh, fresh, pa.concat_tables)
+    monkeypatch.undo()
+
+    live = sum(cl.read_commit(lake, e, 0).get("n_history_rows", 0) for e in (2, 3))
+    assert live > 0
+    assert read_history(lake).count() == live
+    compact_history(lake, min_files=1)  # a clean fold recovers
+    assert read_history(lake).count() == live
+
+
 def test_history_survives_commit_checkpoint_compaction(stream):
     """compact_commits deletes per-unit commit JSONs (rolled into the
     checkpoint) — the archive's commit gate must keep honoring them via the

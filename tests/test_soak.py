@@ -284,7 +284,7 @@ def test_soak_full_featured_tail(tmp_path):
     north rule describes (replay-exact state, incrementally-maintained
     sidecars, bounded file counts) exercised TOGETHER."""
     from sonic_etl_ray.pipelines.history import scd2_view
-    from sonic_etl_ray.pipelines.ingest import (
+    from sonic_etl_ray.pipelines.sidecars import (
         compact_decoded,
         read_decoded,
         read_decoded_ds,
