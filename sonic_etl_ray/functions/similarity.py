@@ -358,17 +358,21 @@ def _extend_partitioned_index(
     Idempotence contract (the CDC epoch discipline): ``tag`` identifies the
     batch (use the epoch id). A completed tag short-circuits; a retried
     TORN extension first deletes every ``ext-<tag>-*`` file and re-moves,
-    so replays converge. Readers may observe a prefix of an in-flight
-    extension (file-append visibility — the same guarantee any live
-    directory layout gives); a full rebuild via the staging+rename publish
-    remains the strictly-atomic path."""
+    so replays converge. The clean + move + marker sequence runs under the
+    index dir's single-writer lease (:func:`~..state.commitlog.acquire_writer_lease`):
+    a second extender of the same index fails fast with ``LeaseHeld``
+    instead of deleting files the first one just moved in, and a crashed
+    extender's lease is taken over once its TTL lapses. Readers may
+    observe a prefix of an in-flight extension (file-append visibility —
+    the same guarantee any live directory layout gives); a full rebuild
+    via the staging+rename publish remains the strictly-atomic path."""
     import glob as _glob
     import json
     import re
     import shutil
     import uuid
 
-    from ..state.commitlog import _atomic_write
+    from ..state import commitlog as cl
 
     if not re.fullmatch(r"[A-Za-z0-9_.]+", str(tag)):
         # '-' is the filename separator: a tag like '3' would otherwise
@@ -381,16 +385,20 @@ def _extend_partitioned_index(
     if os.path.exists(marker):
         with open(marker) as fh:
             return json.load(fh)
-    # retry hygiene: clear any files a torn earlier attempt moved in
-    stale = _glob.glob(os.path.join(index_dir, f"{part_col}=*", f"ext-{tag}-*.parquet"))
-    for f in stale:
-        os.remove(f)
 
     staging = f"{index_dir}.ext.{uuid.uuid4().hex[:8]}"
-    bucketed.write_parquet(staging, partition_cols=[part_col])
-    moved = 0
-    rows_meta = 0
+    token = None
     try:
+        bucketed.write_parquet(staging, partition_cols=[part_col])
+        token = cl.acquire_writer_lease(index_dir, owner=f"extend_index:{tag}")
+        if os.path.exists(marker):  # a rival finished this tag meanwhile
+            with open(marker) as fh:
+                return json.load(fh)
+        # retry hygiene: clear any files a torn earlier attempt moved in
+        for f in _glob.glob(os.path.join(index_dir, f"{part_col}=*", f"ext-{tag}-*.parquet")):
+            os.remove(f)
+        moved = 0
+        rows_meta = 0
         for bdir in sorted(_glob.glob(os.path.join(staging, f"{part_col}=*"))):
             dest = os.path.join(index_dir, os.path.basename(bdir))
             os.makedirs(dest, exist_ok=True)
@@ -398,11 +406,13 @@ def _extend_partitioned_index(
                 rows_meta += pq.read_metadata(f).num_rows
                 os.rename(f, os.path.join(dest, f"ext-{tag}-{moved}.parquet"))
                 moved += 1
+        stats = {"tag": str(tag), "files": moved, "rows": rows_meta}
+        cl._atomic_write(marker, json.dumps(stats).encode())
+        return stats
     finally:
+        if token is not None:
+            cl.release_writer_lease(index_dir, token)
         shutil.rmtree(staging, ignore_errors=True)
-    stats = {"tag": str(tag), "files": moved, "rows": rows_meta}
-    _atomic_write(marker, json.dumps(stats).encode())
-    return stats
 
 
 def extend_lsh_index(index_dir: str, ds: ray.data.Dataset, tag: str) -> dict:

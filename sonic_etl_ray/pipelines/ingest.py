@@ -62,6 +62,14 @@ from ..stages.transform import (
     validate_and_derive,
 )
 from ..config import parquet_write_kwargs
+from ..sources.planner import (  # noqa: F401  (REPAIR_EPOCH_BASE: re-exported)
+    REPAIR_EPOCH_BASE,
+    EpochUnit,
+    LakeCoverage,
+    plan_epochs,
+    repair_epoch_id,
+    validate_segments,
+)
 from ..state import commitlog as cl
 from . import sidecars
 
@@ -340,9 +348,14 @@ def compact_partition(lake_dir: str, part: int) -> dict[str, Any]:
     """Fold a partition's trailing merge-on-read deltas into a new base
     STATE file (the Hudi compaction analog). The new base takes the next
     seq and the max contributing epoch; it is covered by that epoch's
-    existing commit record, so no new commit is written — crash-safe via
-    tmp+rename, idempotent (re-running with no trailing deltas is a no-op).
-    Older files stay on disk for time travel until ``vacuum``."""
+    existing commit record, so no new commit is written. The base's rename
+    is the commit point: its stats sidecar and ``.compaction.json`` marker
+    are published first, so a crash leaves either no base (the rerun folds
+    again and overwrites both) or a complete one. Idempotent (re-running
+    with no trailing deltas is a no-op). Older files stay on disk for time
+    travel until ``vacuum``."""
+    import json as _json
+
     files = cl.list_part_files(lake_dir, part)
     if not files or files[-1][3] == "state":
         return {"part": part, "compacted": 0, "n_rows": -1}
@@ -350,20 +363,18 @@ def compact_partition(lake_dir: str, part: int) -> dict[str, Any]:
     state = _lww_resolve([pq.read_table(p) for _, _, p, _ in live])
     seq = files[-1][0] + 1
     epoch = max(f[1] for f in live)
-    out = _publish(state, cl.state_path(lake_dir, part, epoch, seq))
+    out = cl.state_path(lake_dir, part, epoch, seq)
     _write_stats_sidecar(state, out)  # stats view freshness = last compaction
     n_deltas = sum(1 for f in live if f[3] == "delta")
     # compaction lineage marker: the base has no commit record of its own
     # (it rides the newest delta's), so record the resolved row count here —
     # freshness/verify_lake_counts read it back
-    import json as _json
-
-    with open(out + ".compaction.json", "w") as fh:
-        fh.write(_json.dumps({
-            "n_rows": state.num_rows,
-            "folded_deltas": n_deltas,
-            "source_seqs": [f[0] for f in live],
-        }, sort_keys=True))
+    cl._atomic_write(out + ".compaction.json", _json.dumps({
+        "n_rows": state.num_rows,
+        "folded_deltas": n_deltas,
+        "source_seqs": [f[0] for f in live],
+    }, sort_keys=True).encode())
+    _publish(state, out)
     return {"part": part, "compacted": n_deltas, "n_rows": state.num_rows}
 
 
@@ -621,9 +632,9 @@ class MergeApplier:
         else:
             # rebase onto the NEWEST committed state whatever its epoch number
             # — required for out-of-order backfill (LWW is order-independent).
-            # latest_file + resolve (not latest_state + read): a mixed-mode
-            # lake may carry trailing merge-on-read deltas that a copy-on-
-            # write epoch must fold in rather than silently shadow
+            # latest_file + resolve (not the newest state file alone): a
+            # mixed-mode lake may carry trailing merge-on-read deltas that a
+            # copy-on-write epoch must fold in rather than silently shadow
             frontier = cl.latest_file(lake, part)
             prior_ref = (frontier[0], frontier[1], frontier[2]) if frontier else None
             if fresh.num_rows == 0 and prior_ref is not None:
@@ -948,22 +959,6 @@ def _frontier_updates(records: list[dict[str, Any]]) -> dict[int, int]:
     return out
 
 
-REPAIR_EPOCH_BASE = 90_000_000  # repair epochs live far above stream epochs
-
-
-def repair_epoch_id(segment_basenames: list[str]) -> int:
-    """Deterministic fresh epoch id for a late-segment repair unit: a given
-    delta set always maps to the same id, so a killed repair run resumes
-    idempotently; distinct deltas get distinct ids (the LWW merge is
-    epoch-order-independent, so ANY unused id is correct)."""
-    import hashlib as _hashlib
-
-    digest = _hashlib.blake2b(
-        ",".join(sorted(segment_basenames)).encode(), digest_size=4
-    ).digest()
-    return REPAIR_EPOCH_BASE + int.from_bytes(digest, "big") % 9_999_999
-
-
 def _run_ingest_impl(
     segment_files: Iterable[str],
     lake_dir: str,
@@ -1012,48 +1007,15 @@ def _run_ingest_impl(
     (see :class:`MergeApplier`).
 
     Segments (sorted by name = ascending LSN spans, the coordinator's
-    range-chunk analog) are grouped into epochs; epochs with a manifest are
-    skipped entirely — this is the resume fast-forward
-    (``main.rs:188-241`` ``pick_up_from_previous_range``).
-
-    Epoch identity is STABLE across runs with different file subsets: for
-    ``segment_NNNNNN`` names the epoch is ``NNNNNN // segments_per_epoch``
-    (a backfill run that replays only missing segments maps them to the same
-    epochs a full run would). Unparseable names fall back to positional
-    grouping; any resulting overlap is harmless — the merge's per-key LWW
-    and commit gates make over-replay a no-op.
-
-    Late segments for an ALREADY-manifested epoch are never lost: the delta
-    is applied under a fresh deterministic repair epoch
-    (:func:`repair_epoch_id`) — correct because the merge is
-    epoch-order-independent. ``finalize=False`` additionally defers a
-    trailing partial epoch (fewer than ``segments_per_epoch`` files)
-    entirely, mirroring the Tailer's full-epochs-only rule, so a tailing
-    caller never closes an epoch that may still gain segments.
+    range-chunk analog) are grouped into epochs by
+    :func:`~..sources.planner.plan_epochs` — the same planner the Tailer
+    uses: stable ``segment_NNNNNN // segments_per_epoch`` epochs, epochs
+    with a manifest skipped (the resume fast-forward, ``main.rs:188-241``
+    ``pick_up_from_previous_range``), late segments of a manifested epoch
+    applied under a repair epoch (:func:`repair_epoch_id`), and
+    ``finalize=False`` deferring a trailing partial epoch.
     """
-    import re
-
-    files = sorted(segment_files)
-    groups: dict[int, list[str]] = {}
-    for idx, f in enumerate(files):
-        m = re.match(r"segment_(\d+)", os.path.basename(f))
-        e = (int(m.group(1)) if m else idx) // segments_per_epoch
-        groups.setdefault(e, []).append(f)
-    epochs = sorted(groups.items())
-
-    deferred = 0
-    if not finalize and epochs and len(epochs[-1][1]) < segments_per_epoch:
-        deferred = len(epochs[-1][1])
-        epochs = epochs[:-1]
-
-    # union of every manifest's segments (incl. previous repairs) — the
-    # ground truth for "already applied" when planning repair deltas
-    covered: set[str] = set()
-    for e in cl.committed_epochs(lake_dir):
-        m = cl.read_manifest(lake_dir, e) or {}
-        covered.update(m.get("input", {}).get("segments", []))
-
-    applied = skipped = repaired = 0
+    plan = plan_epochs(segment_files, LakeCoverage(lake_dir), segments_per_epoch, finalize)
     failovers = 0
 
     def _apply_from(epoch: int, efiles: list[str], desc: dict[str, Any]) -> None:
@@ -1071,14 +1033,13 @@ def _run_ingest_impl(
             track_history=track_history,
         )
 
-    def _apply(epoch: int, efiles: list[str], extra_desc: dict[str, Any] | None = None) -> None:
+    def _apply(unit: EpochUnit) -> None:
         nonlocal failovers
         if on_epoch is not None:
             on_epoch()
-        desc = {"segments": [os.path.basename(f) for f in efiles]}
-        desc.update(extra_desc or {})
+        desc = unit.input_desc()
         try:
-            _apply_from(epoch, efiles, desc)
+            _apply_from(unit.epoch, unit.files, desc)
             return
         except (cl.LeaseHeld, KeyboardInterrupt):
             raise  # fencing/shutdown are not source failures
@@ -1087,49 +1048,30 @@ def _run_ingest_impl(
                 raise
             log_err = primary_err
             for root in read_fallbacks:
-                alt = [os.path.join(root, os.path.basename(f)) for f in efiles]
+                alt = [os.path.join(root, os.path.basename(f)) for f in unit.files]
                 if not all(os.path.exists(p) for p in alt):
                     continue
                 log.warning(
                     "epoch %d failed on primary (%s); failing over to %s",
-                    epoch, primary_err, root,
+                    unit.epoch, primary_err, root,
                 )
                 try:
-                    _apply_from(epoch, alt, {**desc, "failover_root": root})
+                    _apply_from(unit.epoch, alt, {**desc, "failover_root": root})
                     failovers += 1
                     return
                 except Exception as e:  # try the next mirror
                     log_err = e
             raise log_err
 
-    # late-segment repair pass: a manifested epoch whose plan now has NEW
-    # segments gets the delta replayed under a fresh repair epoch
-    normal: list[tuple[int, list[str]]] = []
-    for epoch, efiles in epochs:
-        if not cl.epoch_manifest_exists(lake_dir, epoch):
-            normal.append((epoch, efiles))
-            continue
-        delta = [f for f in efiles if os.path.basename(f) not in covered]
-        if not delta:
-            skipped += 1
-            continue
-        rep = repair_epoch_id([os.path.basename(f) for f in delta])
-        if cl.epoch_manifest_exists(lake_dir, rep):
-            skipped += 1
-            continue
-        _apply(rep, delta, {"repair_for_epoch": epoch})
-        covered.update(os.path.basename(f) for f in delta)
-        repaired += 1
-
-    for epoch, efiles in normal:
-        _apply(epoch, efiles)
-        applied += 1
+    for unit in plan.units:
+        _apply(unit)
+    repaired = sum(1 for u in plan.units if u.repair_for is not None)
     return {
-        "epochs_applied": applied,
-        "epochs_skipped": skipped,
+        "epochs_applied": len(plan.units) - repaired,
+        "epochs_skipped": len(plan.skipped),
         "epochs_repaired": repaired,
-        "segments_deferred": deferred,
-        "epochs_total": len(epochs),
+        "segments_deferred": plan.deferred,
+        "epochs_total": plan.total,
         **({"epochs_failed_over": failovers} if failovers else {}),
     }
 
@@ -1166,8 +1108,6 @@ def run_ingest(
     if that epoch already closed)."""
     quarantined: list[dict] = []
     if validate_inputs:
-        from ..sources.planner import validate_segments
-
         good, quarantined = validate_segments(sorted(segment_files))
         if quarantined:
             _write_quarantine(lake_dir, quarantined)

@@ -3,14 +3,15 @@
 The coordinator+consumer loop of the reference
 (``indexing_coordinator/publish_ranges.py:214-248``: poll head every 5 s,
 publish [last+1, head] chunks; consumers pull/ack) becomes a driver-side
-micro-batch loop: each tick discovers segments beyond the committed
-watermark, groups them into epochs, and hands each epoch's segment paths
-to the exactly-once ingest pipeline (one map task per segment, one merge
-task per partition; no Dataset is built on this path). Graceful shutdown
-(SIGTERM flag checked between epochs, ``sonic_config/mod.rs:70-98``) and
-head-regression warnings (``publish_ranges.py:222-223``) carry over; the
-resumption state IS the commit log, so a killed tailer resumes exactly
-(W4/O4).
+micro-batch loop: each tick lists the segment directory, plans epochs with
+the same planner as ``run_ingest`` (:func:`..sources.planner.plan_epochs`:
+stable epochs from segment names, late segments repaired), and hands each
+epoch's segment paths to the exactly-once ingest pipeline (one map task
+per segment, one merge task per partition; no Dataset is built on this
+path). Graceful shutdown (SIGTERM flag checked between epochs,
+``sonic_config/mod.rs:70-98``) and head-regression warnings
+(``publish_ranges.py:222-223``) carry over; the resumption state IS the
+commit log, so a killed tailer resumes exactly (W4/O4).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import time
 from typing import Any, Callable
 
-from ..sources.planner import discover_segments
+from ..sources.planner import LakeCoverage, discover_segments, plan_epochs
 from ..state import commitlog as cl
 from .ingest import apply_epoch
 
@@ -32,9 +33,13 @@ class Tailer:
     ``tick()`` is one poll: discover → plan → apply new epochs, each as
     its segment paths through :func:`~.ingest.apply_epoch`. ``run()``
     loops with a poll interval until ``stop()`` (the SIGTERM-flag analog)
-    or ``max_ticks``. Epoch numbering is derived from segment position so
-    a restarted tailer maps the same segments to the same epochs —
-    idempotence comes from the commit log, not from the loop.
+    or ``max_ticks``. Epochs come from segment names
+    (``segment_NNNNNN // segments_per_epoch``), so a restarted tailer maps
+    the same segments to the same epochs whatever order they arrived in,
+    and a segment that arrives after its epoch closed is applied as a
+    repair epoch — idempotence comes from the commit log, not from the
+    loop. Only full epochs are applied while the trailing one may still
+    grow (``plan_epochs(finalize=False)``).
     """
 
     def __init__(
@@ -105,6 +110,10 @@ class Tailer:
         self._applied_since_compact = 0
         self._applied_since_state_compact = 0
         self._stop = False
+        # the lake's manifest coverage, read once and extended with each
+        # applied epoch (this tailer is the lake's writer); plan_epochs
+        # re-reads it if another writer got to a planned epoch first
+        self._coverage = LakeCoverage(lake_dir)
         self._last_seen = -1  # highest segment index observed (head watermark)
         from .metrics import TailerMetrics
 
@@ -156,31 +165,30 @@ class Tailer:
             )
         self._last_seen = max(self._last_seen, head)
 
-        applied = skipped = 0
-        n_full = (head + 1) // self.segments_per_epoch
-        for epoch in range(n_full):
+        plan = plan_epochs(files, self._coverage, self.segments_per_epoch, finalize=False)
+        skipped = len(plan.skipped)
+        for epoch in plan.skipped:
+            self._metrics.record_resumed_epoch(epoch)
+        applied = 0
+        for unit in plan.units:
             if self._stop:
                 break
-            if cl.epoch_manifest_exists(self.lake_dir, epoch):
-                skipped += 1
-                self._metrics.record_resumed_epoch(epoch)
-                continue
-            efiles = files[epoch * self.segments_per_epoch : (epoch + 1) * self.segments_per_epoch]
             try:
                 records = apply_epoch(
-                    efiles,
+                    unit.files,
                     self.lake_dir,
-                    epoch,
+                    unit.epoch,
                     num_partitions=self.num_partitions,
-                    input_desc={"segments": [f.rsplit("/", 1)[-1] for f in efiles]},
+                    input_desc=unit.input_desc(),
                     merge_mode=self.merge_mode,
                     track_history=self.track_history,
                     decode_catalog=self.decode_catalog,
                 )
             except Exception as exc:
-                self._alert("epoch_failure", epoch=epoch, error=repr(exc))
+                self._alert("epoch_failure", epoch=unit.epoch, error=repr(exc))
                 raise
-            self._metrics.record_commits(epoch, records)
+            self._coverage.add(unit)
+            self._metrics.record_commits(unit.stream_epoch, records)
             applied += 1
         self._applied_since_compact += applied
         if self.compact_every and self._applied_since_compact >= self.compact_every:
@@ -275,8 +283,10 @@ class Tailer:
 
 def set_watermark_override(lake_dir: str, epoch: int) -> None:
     """Admin override: mark epochs < ``epoch`` as committed so the tailer
-    fast-forwards — the ``manual_set.py`` analog
-    (``indexing_coordinator/manual_set.py:49-56``). Writes empty manifests."""
+    and ``run_ingest`` fast-forward — the ``manual_set.py`` analog
+    (``indexing_coordinator/manual_set.py:49-56``). Writes empty
+    ``manual_override`` manifests; the planner treats each as covering all
+    of its epoch's segments, so none of them is replayed as a repair."""
     for e in range(epoch):
         if not cl.epoch_manifest_exists(lake_dir, e):
             cl.write_manifest(lake_dir, e, {"epoch": e, "manual_override": True, "parts": []})

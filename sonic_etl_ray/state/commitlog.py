@@ -19,12 +19,20 @@ On a multi-node cluster ``lake_dir`` is shared storage (NFS/S3-style); all
 operations here are rename-atomic and never read-modify-write a shared file,
 so concurrent appliers for different partitions never conflict.
 
-Layout::
+Layout (``S`` is the partition's monotone commit sequence, which orders
+reads; ``E`` is the epoch that wrote the file)::
 
     lake/
       _commits/epoch=E/part=P.json     # per-partition commit + lineage
       _commits/epoch=E.MANIFEST.json   # epoch fully applied (driver-written)
-      part=P/state-epoch=E.parquet     # full partition state as of epoch E
+      _commits/CHECKPOINT.json         # compact_commits roll-up of the two above
+      _commits/_frontier.json          # rolling {part: seq} read frontier
+      _commits/_schema_evolved         # sticky marker: some file's schema evolved
+      part=P/state-seq=S-epoch=E.parquet   # full partition state (COW / base)
+      part=P/delta-seq=S-epoch=E.parquet   # merge-on-read delta (per-key winners)
+      part=P/stats-seq=S-epoch=E.parquet   # per-repo stats sidecar of a state file
+      part=P/state-seq=S-epoch=E.parquet.compaction.json  # compaction base lineage
+      _WRITER_LEASE.json               # single-writer lease, while held
 """
 
 from __future__ import annotations
@@ -190,15 +198,6 @@ def list_part_files(lake_dir: str, part: int) -> list[tuple[int, int, str, str]]
                 if is_committed(lake_dir, epoch, part):
                     out.append((seq, epoch, os.path.join(pdir, name), kind))
     return sorted(out)
-
-
-def list_states(lake_dir: str, part: int) -> list[tuple[int, int, str]]:
-    """Committed (seq, epoch, path) STATE (full/base) files, seq-ascending."""
-    return [
-        (seq, epoch, path)
-        for seq, epoch, path, kind in list_part_files(lake_dir, part)
-        if kind == "state"
-    ]
 
 
 def next_seq(lake_dir: str, part: int) -> int:
@@ -428,28 +427,6 @@ def committed_epochs(lake_dir: str) -> list[int]:
     if cp is not None:
         out.update(int(e) for e in cp.get("manifests", {}))
     return sorted(out)
-
-
-def latest_state(
-    lake_dir: str, part: int, max_epoch: int | None = None
-) -> tuple[str, int, int] | None:
-    """Newest committed (path, epoch, seq) state for ``part`` by SEQ order,
-    optionally restricted to commits with epoch ≤ ``max_epoch`` (time
-    travel; exact for in-order histories — after an out-of-order backfill,
-    a state written later may contain later-epoch data, see state_path).
-
-    Only files referenced by a commit record count: the state file is
-    renamed *before* the commit record, so a crashed applier can leave an
-    orphaned state file with no commit — it is ignored and rewritten
-    deterministically on retry.
-    """
-    states = list_states(lake_dir, part)
-    if max_epoch is not None:
-        states = [s for s in states if s[1] <= max_epoch]
-    if not states:
-        return None
-    seq, epoch, path = states[-1]
-    return path, epoch, seq
 
 
 def partition_watermark(lake_dir: str, part: int) -> int:

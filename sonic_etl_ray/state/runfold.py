@@ -104,18 +104,21 @@ class EpochCover:
 
 def list_runs(run_dir: str) -> list[tuple[int, str, dict]]:
     """Committed runs in one partition's run directory, seq-ascending:
-    (seq, data_file, marker). A marker whose data file is missing (crash
-    between writes cannot cause this — data renames first — but manual
-    deletion can) is ignored."""
+    (seq, data_file, marker). The data file is ``run-seq=N.parquet`` next
+    to the ``run-seq=N.json`` marker — derived from the marker's own
+    location, never from a path stored in it, so a cloned or copied lake
+    reads (and GCs) its own runs, not the source's. A marker whose data
+    file is missing (crash between writes cannot cause this — data renames
+    first — but manual deletion can) is ignored."""
     out = []
     for mf in glob.glob(os.path.join(run_dir, "run-seq=*.json")):
         m = _MARKER_RE.search(mf)
         if m is None:
             continue  # stray file — never a run marker
-        with open(mf) as fh:
-            marker = json.load(fh)
-        if os.path.exists(marker["data_file"]):
-            out.append((int(m.group(1)), marker["data_file"], marker))
+        data_file = mf[: -len(".json")] + ".parquet"
+        if os.path.exists(data_file):
+            with open(mf) as fh:
+                out.append((int(m.group(1)), data_file, json.load(fh)))
     return sorted(out)
 
 
@@ -150,7 +153,6 @@ def fold_partition_runs(
     pq.write_table(merged, tmp, **parquet_write_kwargs())
     os.rename(tmp, data_file)
     marker = {
-        "data_file": data_file,
         # ranges, not a list: O(gaps) marker bytes at any epoch count
         "covered_ranges": prev_covered.union_epochs(e for e, _ in todo).ranges,
         "n_rows": merged.num_rows,

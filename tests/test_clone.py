@@ -94,3 +94,30 @@ def test_clone_excludes_writer_lease(src, tmp_path):
     # the branch is its own writer domain: lease acquirable immediately
     t2 = cl.acquire_writer_lease(dst, owner="b")
     cl.release_writer_lease(dst, t2)
+
+
+def test_branch_history_folds_leave_source_runs_alone(ray_session, tmp_path):
+    """A run marker names its data file by its own location: folds in a
+    branch read and GC the branch's runs, never the source's."""
+    import glob
+
+    from sonic_etl_ray.generator import StreamSpec, generate_stream
+    from sonic_etl_ray.pipelines.history import HISTORY, compact_history, read_history
+    from sonic_etl_ray.pipelines.ingest import run_ingest
+
+    spec = StreamSpec(n_events=3000, n_repos=5, seed=53, segment_size=250)
+    files = generate_stream(str(tmp_path / "segs"), spec)
+    src, dst = str(tmp_path / "src"), str(tmp_path / "branch")
+    kw = dict(num_partitions=1, segments_per_epoch=1, track_history=True)
+    run_ingest(files[:4], src, **kw)
+    compact_history(src, min_files=2)
+    (src_run,) = glob.glob(os.path.join(src, "_history", "**", "run-seq=*.parquet"), recursive=True)
+    want, want_rows = HISTORY.read(src), read_history(src).count()
+
+    clone_lake(src, dst)
+    for n in (8, 12):  # two folds in the branch
+        run_ingest(files[:n], dst, **kw)
+        compact_history(dst, min_files=2)
+    assert os.path.exists(src_run)
+    assert HISTORY.read(src).equals(want) and read_history(src).count() == want_rows
+    assert HISTORY.read(dst).num_rows > want.num_rows

@@ -1568,6 +1568,43 @@ def test_extend_lsh_and_ivf_index_incremental(tmp_path):
     wmap = dict(zip(want_assign["vec_id"].astype(int), want_assign["cluster"].astype(int)))
     assert gmap == wmap
 
+
+def test_extend_index_same_tag_rival_keeps_first_extenders_files(tmp_path):
+    """Two same-tag extenders: while the first holds the index dir's writer
+    lease (its files moved in, its marker not yet written), the second
+    fails fast instead of clearing ``ext-<tag>-*`` as torn leftovers."""
+    import glob as _glob
+    import os
+    import shutil
+
+    import ray.data
+
+    from sonic_etl_ray.functions.similarity import build_lsh_index, extend_lsh_index
+    from sonic_etl_ray.state import commitlog as cl
+
+    emb = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
+    idx = str(tmp_path / "lsh_idx")
+    build_lsh_index(SF, idx, n_planes=6, seed=13)
+    # the first extender, mid-sequence: lease held, one file moved in
+    token = cl.acquire_writer_lease(idx, owner="first extender")
+    first = _glob.glob(os.path.join(idx, "bucket=*", "*.parquet"))[0]
+    moved = os.path.join(os.path.dirname(first), "ext-ep9-0.parquet")
+    shutil.copy(first, moved)
+    ino = os.stat(moved).st_ino
+
+    with pytest.raises(cl.LeaseHeld):
+        extend_lsh_index(idx, ray.data.from_arrow(emb.slice(0, 50)), tag="ep9")
+    assert os.stat(moved).st_ino == ino
+    assert not os.path.exists(os.path.join(idx, "_ext_ep9.done"))
+
+    # once the lease is free the tag completes: torn files are replaced
+    cl.release_writer_lease(idx, token)
+    stats = extend_lsh_index(idx, ray.data.from_arrow(emb.slice(0, 50)), tag="ep9")
+    assert stats["rows"] == 50
+    tagged = _glob.glob(os.path.join(idx, "bucket=*", "ext-ep9-*.parquet"))
+    assert sum(pq.read_metadata(f).num_rows for f in tagged) == 50
+    assert not os.path.exists(os.path.join(idx, cl.LEASE_NAME))
+
 def test_dedup_incremental_fuzzy_brute_force(tmp_path):
     """Fuzzy admission gate vs a pure-python brute force on a corpus with
     PLANTED cross-cut near-duplicates: an incoming doc is rejected iff some

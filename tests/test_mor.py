@@ -254,6 +254,36 @@ def test_compact_partition_noop_on_cow(tmp_path):
     assert compact_partition(lake, 0)["compacted"] == 0
 
 
+def test_compact_partition_crash_leaves_no_unmarked_base(tmp_path, monkeypatch):
+    """A compaction killed after the fold but before its base is published
+    leaves no base; the rerun folds again, and freshness reads the resolved
+    row count from the base's lineage marker."""
+    from sonic_etl_ray.pipelines import ingest as ing
+    from sonic_etl_ray.pipelines.qc import freshness
+
+    spec = StreamSpec(n_events=1200, n_repos=5, seed=47, segment_size=200)
+    files = generate_stream(str(tmp_path / "segments"), spec)
+    lake = scratch_lake_dir("morcrash")
+    run_ingest(files, lake, num_partitions=2, segments_per_epoch=2, merge_mode="mor")
+
+    real = ing._write_stats_sidecar
+    calls = []
+
+    def crash_once(state, path):
+        calls.append(path)
+        if len(calls) == 1:
+            raise OSError("killed mid-compaction")
+        return real(state, path)
+
+    monkeypatch.setattr(ing, "_write_stats_sidecar", crash_once)
+    with pytest.raises(OSError):
+        compact_partition(lake, 0)
+    res = compact_partition(lake, 0)
+    assert res["compacted"] == 3
+    f = freshness(lake)[0]
+    assert f["kind"] == "state" and f["n_rows"] == res["n_rows"] > 0
+
+
 def test_mor_watermark_and_freshness(tmp_path):
     from sonic_etl_ray.pipelines.qc import freshness
 

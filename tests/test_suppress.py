@@ -54,9 +54,9 @@ def test_suppressed_update_keeps_old_row_and_feed_is_quiet():
 def test_all_suppressed_epoch_is_noop_commit():
     lake = scratch_lake_dir("sup2")
     _apply(lake, 0, [(1, "insert", "a.py", "A")])
-    before = cl.latest_state(lake, *_part_of(lake))
+    before = cl.latest_file(lake, *_part_of(lake))
     _apply(lake, 1, [(2, "insert", "a.py", "A")])
-    after = cl.latest_state(lake, *_part_of(lake))
+    after = cl.latest_file(lake, *_part_of(lake))
     assert before == after  # no new state file written
     rec = cl.read_commit(lake, 1, _part_of(lake)[0])
     assert rec["noop"] is True and rec["n_suppressed"] == 1
