@@ -125,7 +125,7 @@ def build_value_index(
     d = _index_dir(lake_dir, column, index_root)
     os.makedirs(d, exist_ok=True)
     fname = f"index-{uuid.uuid4().hex[:12]}.parquet"
-    pq.write_table(idx, os.path.join(d, fname), **parquet_write_kwargs())
+    pq.write_table(idx, os.path.join(d, fname), **parquet_write_kwargs(idx.schema))
     tmp = os.path.join(d, f".manifest.{uuid.uuid4().hex[:8]}")
     with open(tmp, "w") as f:
         json.dump(

@@ -9,7 +9,9 @@ module is the read side:
   :func:`expire_history` — the archive's file plan, streaming read, fold
   and retention, all from the shared sidecar family (``sidecars.py``; the
   commit record gates every file, so a crashed unit's orphan stays
-  invisible and is overwritten on replay);
+  invisible and is overwritten on replay). An ``as_of_epoch`` read that
+  needs an epoch a later fold already removed raises
+  :class:`EpochNotRetained` instead of returning too few rows;
 - :func:`scd2_view` — the SCD2 dimension derived DISTRIBUTEDLY from the
   archive alone: one bucket-keyed exchange on hash(repo, path), then a
   vectorized close-LSN shift inside each bucket (per-bucket Python, never
@@ -35,7 +37,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .sidecars import HISTORY, concat_evolved
+from .sidecars import HISTORY, EpochNotRetained, concat_evolved  # noqa: F401
 
 history_files = HISTORY.files
 read_history = HISTORY.read_ds

@@ -339,7 +339,7 @@ def _publish(table: pa.Table, path: str) -> str:
     never see a partial file. Writes through the module's ``pq`` name."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-    pq.write_table(table, tmp, **parquet_write_kwargs())
+    pq.write_table(table, tmp, **parquet_write_kwargs(table.schema))
     os.rename(tmp, path)
     return path
 
@@ -520,6 +520,7 @@ class MergeApplier:
         if TABLE_COLUMN in group.column_names:
             group, decoded_map = split_tables(group)
         n_decoded, decoded_files = 0, {}
+        published: list[str] = []  # every file this unit writes: bytes_written
         for tname, decoded in sorted(decoded_map.items()):
             if not decoded.num_rows:
                 continue
@@ -531,6 +532,7 @@ class MergeApplier:
             decoded_files[tname] = _publish(  # the commit record gates it
                 decoded, fam.epoch_path(lake, epoch, part)
             )
+            published.append(decoded_files[tname])
             n_decoded += decoded.num_rows
         decoded_file = decoded_files.get(TABLE_DECODED)
 
@@ -542,10 +544,10 @@ class MergeApplier:
             if n_errors:
                 # divert malformed rows to the per-partition error channel
                 drop = [c for c in (PART_COLUMN, W_COLUMN) if c in errors.column_names]
-                _publish(
+                published.append(_publish(
                     errors.drop_columns(drop),
                     sidecars.ERRORS.epoch_path(lake, epoch, part),
-                )
+                ))
             group = group.filter(pc.invert(err_mask)).drop_columns([ERROR_COLUMN])
 
         watermark = mem[2] if mem is not None else cl.partition_watermark(lake, part)
@@ -588,6 +590,11 @@ class MergeApplier:
                     versions, sidecars.HISTORY.epoch_path(lake, epoch, part)
                 )
                 record["n_history_rows"] = versions.num_rows
+                published.append(record["history_file"])
+
+        def _commit() -> None:
+            record["bytes_written"] = sum(os.path.getsize(f) for f in published)
+            cl.write_commit(lake, record)
 
         def _noop_commit(prior_ref) -> dict[str, Any]:
             # nothing effective: commit references the prior state as-is
@@ -597,7 +604,7 @@ class MergeApplier:
                 data_file=prior_ref[0],
                 noop=True,
             )
-            cl.write_commit(lake, record)
+            _commit()
             return record
 
         if self.merge_mode == "mor":
@@ -613,6 +620,7 @@ class MergeApplier:
             seq = cl.next_seq(lake, part)
             # the commit record below is the commit point
             out = _publish(delta, cl.delta_path(lake, part, epoch, seq))
+            published.append(out)
             record.update(
                 n_rows=-1,  # resolved row count unknown by design (no base read)
                 n_delta_rows=delta.num_rows,
@@ -622,7 +630,7 @@ class MergeApplier:
                 schema={f.name: str(f.type) for f in delta.schema},
             )
             _note_if_evolved(lake, delta.schema)
-            cl.write_commit(lake, record)
+            _commit()
             return record, None, None
 
         prior_ref = None
@@ -690,6 +698,7 @@ class MergeApplier:
         # sidecars, never rescan the lake (the inline version of the
         # reference's row-counts QC query, row_counts.py:85-102)
         stats_file = _write_stats_sidecar(state, out)
+        published += [out, stats_file]
 
         record.update(
             n_rows=state.num_rows,
@@ -699,7 +708,7 @@ class MergeApplier:
             schema={f.name: str(f.type) for f in state.schema},
         )
         _note_if_evolved(lake, state.schema)
-        cl.write_commit(lake, record)  # atomic commit point
+        _commit()  # atomic commit point
         return record, state, seq
 
 def _split_block_at_edges(block: pa.Table, edges) -> tuple:
@@ -935,6 +944,7 @@ def apply_epoch(
         "n_events": sum(int(r["n_events"]) for r in records),
         "n_errors": sum(int(r.get("n_errors", 0)) for r in records),
         "n_rows": sum(max(int(r["n_rows"]), 0) for r in records),
+        "bytes_written": sum(int(r.get("bytes_written", 0)) for r in records),
         "elapsed_sec": round(time.perf_counter() - t0, 3),
         "input": input_desc or {},
         "num_partitions": num_partitions,
@@ -2038,7 +2048,7 @@ def _export_partition(
     os.makedirs(f"{out_dir}/part={part}", exist_ok=True)
     path = f"{out_dir}/part={part}/snapshot.parquet"
     tmp = path + ".tmp"
-    pq.write_table(tbl, tmp, **parquet_write_kwargs())
+    pq.write_table(tbl, tmp, **parquet_write_kwargs(tbl.schema))
     os.replace(tmp, path)
     digest = hashlib.sha256(
         "\n".join(tbl.column("content_sha256").to_pylist()).encode()

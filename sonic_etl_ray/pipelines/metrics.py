@@ -46,6 +46,7 @@ class TailerMetrics:
         self.events_applied_total = 0
         self.rows_errored_total = 0
         self.noop_commits_total = 0
+        self.bytes_written_total = 0  # lake files published (write amplification)
         # gauges
         self.head_segment = -1
         self.committed_frontier = -1
@@ -71,6 +72,7 @@ class TailerMetrics:
             for rec in records:
                 self.events_applied_total += int(rec.get("n_events", 0) or 0)
                 self.rows_errored_total += int(rec.get("n_errors", 0) or 0)
+                self.bytes_written_total += int(rec.get("bytes_written", 0) or 0)
                 if rec.get("noop"):
                     self.noop_commits_total += 1
                 part = rec.get("part")
@@ -113,6 +115,7 @@ class TailerMetrics:
                 "events_applied_total": self.events_applied_total,
                 "rows_errored_total": self.rows_errored_total,
                 "noop_commits_total": self.noop_commits_total,
+                "bytes_written_total": self.bytes_written_total,
                 "head_segment": self.head_segment,
                 "committed_frontier": self.committed_frontier,
                 "events_per_sec": round(eps, 3),
@@ -132,6 +135,7 @@ class TailerMetrics:
         for name in (
             "ticks_total", "epochs_applied_total", "epochs_skipped_total",
             "events_applied_total", "rows_errored_total", "noop_commits_total",
+            "bytes_written_total",
         ):
             lines.append(f"# TYPE {prefix}_{name} counter")
             lines.append(f"{prefix}_{name} {snap[name]}")

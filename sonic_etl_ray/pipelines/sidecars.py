@@ -38,7 +38,13 @@ import ray.data
 from ..schemas import conform_table, unify_schemas
 from ..stages.decode import DECODED_SCHEMA, TABLE_DECODED
 from ..state import commitlog as cl
-from ..state.runfold import EpochCover, expire_runs, fold_partition_runs, list_runs
+from ..state.runfold import (
+    EpochCover,
+    EpochNotRetained,
+    expire_runs,
+    fold_partition_runs,
+    list_runs,
+)
 
 _FILE_RE = re.compile(r"epoch=(\d+)[/\\]part=(\d+)\.parquet$")
 
@@ -113,9 +119,14 @@ class SidecarFamily:
         committed (epoch, file) pairs that run does not cover. Coverage is
         the run marker's explicit epoch list, so lingering covered
         originals and out-of-order epochs are both read exactly once.
-        ``as_of_epoch`` keeps epochs ``<=`` it; a run that spans past it is
-        skipped and the originals still on disk are read instead (folding
-        trades time-travel granularity for file count, as ``vacuum`` does)."""
+        ``as_of_epoch`` keeps epochs ``<=`` it. A newest run that spans past
+        it is replaced by the newest older run that does not (the fold's GC
+        keeps one previous generation) plus the originals still on disk.
+        When some epoch ``<=`` it is held only by the spanning run (its
+        original already removed by a later fold or by retention) this
+        raises :class:`EpochNotRetained` rather than return too few rows:
+        folding trades time-travel granularity for file count, as
+        ``vacuum`` does."""
         root = self.runs_root(lake_dir)
         if part is not None:
             names = [cl.PART_FMT.format(part)]
@@ -123,20 +134,33 @@ class SidecarFamily:
             names = sorted(os.listdir(root)) if os.path.isdir(root) else []
         runs: dict[int, str] = {}
         covers: dict[int, EpochCover] = {}
+        spanning: dict[int, EpochCover] = {}  # newest run, when past the cut
         for name in names:
             found = list_runs(os.path.join(root, name)) if name.startswith("part=") else []
             if not found:
                 continue
-            _, data_file, marker = found[-1]
-            cov = EpochCover.from_marker(marker)
-            if as_of_epoch is not None and cov and cov.max() > as_of_epoch:
-                continue
             p = int(name.split("=", 1)[1])
-            runs[p], covers[p] = data_file, cov
+            for i, (_, data_file, marker) in enumerate(reversed(found)):
+                cov = EpochCover.from_marker(marker)
+                if as_of_epoch is None or not cov or cov.max() <= as_of_epoch:
+                    runs[p], covers[p] = data_file, cov
+                    break
+                if i == 0:
+                    spanning[p] = cov
         fresh: dict[int, list[tuple[int, str]]] = {}
         for e, p, f in self.committed_files(lake_dir, part):
             if (as_of_epoch is None or e <= as_of_epoch) and e not in covers.get(p, ()):
                 fresh.setdefault(p, []).append((e, f))
+        for p, cov in spanning.items():
+            # runs are cumulative: every epoch <= the cut that the spanning
+            # run covers is in the chosen older run or still an original
+            need = cov.count(upto=as_of_epoch) - covers.get(p, EpochCover([])).count()
+            have = sum(1 for e, _ in fresh.get(p, ()) if e in cov)
+            if have < need:
+                raise EpochNotRetained(
+                    f"{self.root} part={p}: {need - have} epoch(s) <= {as_of_epoch} "
+                    "exist only in a run folded past that epoch"
+                )
         return runs, fresh
 
     def _retired(self, path: str) -> bool:

@@ -52,6 +52,10 @@ STATE_SCHEMA = pa.schema(
     ]
 )
 
+# Hex-digest columns (sha256 of content, git commit id): near-random hex
+# text, stored with zstd whatever the configured codec (config.py).
+DIGEST_COLUMNS = ("content_sha256", "commit")
+
 STATE_KEY = ("repo", "path")
 STATE_SORT = [("repo", "ascending"), ("path", "ascending")]
 

@@ -41,6 +41,11 @@ from ..config import parquet_write_kwargs
 _MARKER_RE = re.compile(r"run-seq=(\d+)\.json$")
 
 
+class EpochNotRetained(LookupError):
+    """An as-of read needs an epoch whose files a later fold, or retention,
+    already removed: the read cannot be answered in full."""
+
+
 class EpochCover:
     """A run marker's covered-epoch set as contiguous inclusive ranges —
     O(gaps) memory and marker bytes, never O(epochs) (a 10^6-epoch fold
@@ -91,6 +96,11 @@ class EpochCover:
 
     def max(self) -> int:
         return self.ranges[-1][1]
+
+    def count(self, upto: int | None = None) -> int:
+        """Number of covered epochs (``<= upto`` when given)."""
+        hi_cap = float("inf") if upto is None else int(upto)
+        return sum(int(min(hi, hi_cap)) - lo + 1 for lo, hi in self.ranges if lo <= hi_cap)
 
     def union_epochs(self, epochs) -> "EpochCover":
         merged: list[tuple[int, int]] = []
@@ -150,7 +160,7 @@ def fold_partition_runs(
     os.makedirs(run_dir, exist_ok=True)
     data_file = os.path.join(run_dir, f"run-seq={seq:08d}.parquet")
     tmp = f"{data_file}.tmp.{uuid.uuid4().hex[:8]}"
-    pq.write_table(merged, tmp, **parquet_write_kwargs())
+    pq.write_table(merged, tmp, **parquet_write_kwargs(merged.schema))
     os.rename(tmp, data_file)
     marker = {
         # ranges, not a list: O(gaps) marker bytes at any epoch count

@@ -575,3 +575,31 @@ def test_pit_join_probe_payload_column_collision(stream):
     assert out["commit"].iloc[0] == "my-probe-commit"
     assert out["asof_lsn"].iloc[0] == live["lsn"]
     assert out["asof_commit"].iloc[0] == live["commit"]  # archive value, not default
+
+
+def test_as_of_read_after_second_fold_is_whole_or_raises(stream):
+    """An as-of read past a refold: the run of the second fold spans past
+    the cut and the first fold's originals are gone. The read uses the
+    previous run (kept one generation) and returns every row; once a third
+    fold removed that run too, it raises EpochNotRetained instead of
+    returning too few rows."""
+    from sonic_etl_ray.pipelines.history import EpochNotRetained, compact_history
+
+    def rows(as_of: int) -> list[tuple]:
+        df = read_history(lake, as_of_epoch=as_of).to_pandas()
+        return sorted(zip(df["lsn"], df["path"]))
+
+    lake = scratch_lake_dir("histasof")
+    kw = dict(num_partitions=2, segments_per_epoch=1, track_history=True)
+    run_ingest(stream[:6], lake, **kw)
+    assert compact_history(lake, min_files=1)["files_folded"] > 0  # runs cover 0-5
+    want = rows(5)
+    assert len(want) == 6 * 250
+    run_ingest(stream[:9], lake, **kw)
+    assert compact_history(lake, min_files=1)["files_folded"] > 0  # runs cover 0-8
+    assert rows(5) == want
+    run_ingest(stream, lake, **kw)
+    assert compact_history(lake, min_files=1)["files_folded"] > 0  # runs cover 0-11
+    with pytest.raises(EpochNotRetained):
+        read_history(lake, as_of_epoch=5)
+    assert len(rows(11)) == 12 * 250  # the head read is whole

@@ -60,15 +60,50 @@ def test_write_bucketed_parquet(tmp_path):
 
 
 def test_parquet_compression_knob(monkeypatch):
-    """SONIC_ETL_COMPRESSION picks the codec for every lake artifact write
-    (end-to-end proof in BASELINE.md: identical state sha256 under snappy
-    and zstd, zstd 38% smaller on the synthetic content)."""
+    """SONIC_ETL_COMPRESSION picks the codec for every non-digest leaf of
+    every lake artifact write (end-to-end proof in BASELINE.md: identical
+    state sha256 under snappy and zstd, zstd 38% smaller on the synthetic
+    content); the hex-digest columns are zstd-1 under any setting. The map
+    names every Parquet leaf, nested ones by path: pyarrow writes a leaf
+    the map does not name UNCOMPRESSED."""
+    import pyarrow as pa
+
     from sonic_etl_ray.config import parquet_write_kwargs
+
+    schema = pa.schema([
+        ("commit", pa.string()),
+        ("content", pa.string()),
+        ("content_sha256", pa.string()),
+        ("attrs", pa.list_(pa.struct([("k", pa.string())]))),
+    ])
+    leaves = ("commit", "content", "content_sha256", "attrs.list.element.k")
+
+    def per_leaf(*values) -> dict:
+        return {leaf: v for leaf, v in zip(leaves, values) if v is not None}
 
     monkeypatch.delenv("SONIC_ETL_COMPRESSION", raising=False)
     monkeypatch.delenv("SONIC_ETL_COMPRESSION_LEVEL", raising=False)
-    assert parquet_write_kwargs() == {"compression": "snappy"}
+    assert parquet_write_kwargs(schema) == {
+        "compression": per_leaf("zstd", "snappy", "zstd", "snappy"),
+        "compression_level": per_leaf(1, None, 1, None),
+    }
     monkeypatch.setenv("SONIC_ETL_COMPRESSION", "zstd")
-    assert parquet_write_kwargs() == {"compression": "zstd", "compression_level": 1}
+    assert parquet_write_kwargs(schema) == {
+        "compression": per_leaf("zstd", "zstd", "zstd", "zstd"),
+        "compression_level": per_leaf(1, 1, 1, 1),
+    }
     monkeypatch.setenv("SONIC_ETL_COMPRESSION_LEVEL", "3")
-    assert parquet_write_kwargs() == {"compression": "zstd", "compression_level": 3}
+    assert parquet_write_kwargs(schema) == {
+        "compression": per_leaf("zstd", "zstd", "zstd", "zstd"),
+        "compression_level": per_leaf(1, 3, 1, 3),
+    }
+    # no digest column: the configured codec alone, no levels under snappy
+    monkeypatch.delenv("SONIC_ETL_COMPRESSION_LEVEL")
+    monkeypatch.delenv("SONIC_ETL_COMPRESSION")
+    assert parquet_write_kwargs(pa.schema([("content", pa.string())])) == {
+        "compression": {"content": "snappy"}
+    }
+    # a dotted name has no unambiguous leaf path: one codec for the file
+    assert parquet_write_kwargs(pa.schema([("a.b", pa.string()), ("commit", pa.string())])) == {
+        "compression": "snappy"
+    }
